@@ -7,6 +7,7 @@ on how the point axis is chunked across worker threads.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -16,6 +17,10 @@ from .kernels import Kernel
 
 
 def _chunks(m: int, threads: int) -> list[slice]:
+    """Contiguous slices of the point axis, one per worker; never more
+    workers than the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, cpus or 1)
     if threads <= 1 or m < 2 * threads:
         return [slice(0, m)]
     size = (m + threads - 1) // threads

@@ -33,6 +33,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = _thread_count(args.threads)
         return args.func(args)
     except (analysis.InvariantViolation, CertificationError) as err:
         print(json.dumps({"failed_invariant": str(err)}, sort_keys=True))
@@ -53,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kernel", default='{"profile": "bump", "order": 64}',
                         help="kernel spec JSON")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MOLLIKIT_THREADS", "1")))
+        sp.add_argument("--threads", default=os.environ.get("MOLLIKIT_THREADS", "1"),
+                        help="worker threads, at least 1 (default $MOLLIKIT_THREADS or 1)")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="deterministic reports (drop timing fields)")
 
@@ -124,6 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------- #
 # helpers
+
+
+def _thread_count(token: str) -> int:
+    try:
+        threads = int(token)
+    except ValueError:
+        raise ValueError(f"thread count (--threads or MOLLIKIT_THREADS) must be an "
+                         f"integer, got {token!r}") from None
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
+    return threads
 
 
 def _load_domain(args) -> Domain:
@@ -333,11 +345,11 @@ def cmd_feasible(args) -> int:
     prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
     n_list = _parse_n_list(args.n)
     scheme = args.scheme or ("gradient" if args.mode == "gradient" else "W1p")
+    cache: dict = {}
     report = feasible.density_study(f, spec, prof, kernel, n_list, scheme,
-                                    threads=args.threads)
+                                    threads=args.threads, _mn_cache=cache)
     if args.emit_iterates:
         os.makedirs(args.emit_iterates, exist_ok=True)
-        cache: dict = {}
         for n in n_list:
             g, _ = feasible.feasible_smooth(f, spec, prof, kernel, n,
                                             threads=args.threads, _mn_cache=cache)

@@ -61,13 +61,9 @@ class EtaProfile:
         return self.field.domain
 
     def theta_distance(self) -> np.ndarray:
+        """dist(., Theta) at every node, negative outside the domain."""
         dom = self.domain
-        interior = self.theta_mask & dom.inside_mask
-        if interior.any():
-            return distance_field(
-                Domain(dom.kind, dom.bbox, dom.shape, dom.inside_mask, interior),
-                "theta").values
-        return dom.sigma().values
+        return distance_field(dom.with_delta(self.theta_mask & dom.inside_mask), "theta").values
 
     def check_invariants(self) -> None:
         """Zero set, positivity, and strict domination by dist(., Theta)."""
@@ -86,15 +82,6 @@ class EtaProfile:
 def _max_gradient(domain: Domain, values: np.ndarray) -> float:
     g = gradient_central(ScalarField(domain, values))
     return float(g.magnitude().values[domain.inside_mask].max())
-
-
-def _theta_distance_values(domain: Domain, theta_mask: np.ndarray) -> np.ndarray:
-    interior = theta_mask & domain.inside_mask
-    if interior.any():
-        return distance_field(
-            Domain(domain.kind, domain.bbox, domain.shape, domain.inside_mask, interior),
-            "theta").values
-    return domain.sigma().values
 
 
 _SMOOTH_ORDER = {1: 64, 2: 24, 3: 8}
@@ -117,7 +104,7 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
         theta_mask = theta_mask.astype(bool)
         if (~theta_mask & ~domain.inside_mask).any():
             raise ValueError("Theta must contain every boundary node")
-    d = _theta_distance_values(domain, theta_mask)
+    d = distance_field(domain.with_delta(theta_mask & domain.inside_mask), "theta").values
     d = np.where(theta_mask & domain.inside_mask, 0.0, d)
 
     kernel = make_kernel("bump", domain.dim, _SMOOTH_ORDER[domain.dim])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import variable_step_max
-from .analysis import StudyReport, field_difference, norm_by_token
+from .analysis import InvariantViolation, StudyReport, field_difference, norm_by_token
 from .eta import EtaProfile
 from .grid import Domain, ScalarField, distance_field, gradient_central
 from .kernels import Kernel
@@ -66,9 +66,8 @@ class ConstraintSpec:
         return gradient_central(f).magnitude().values
 
     def theta_domain(self) -> Domain:
-        dom = self.domain
-        return Domain(dom.kind, dom.bbox, dom.shape, dom.inside_mask,
-                      self.delta_mask, self.gamma_mask)
+        dom = self.domain.with_delta(self.delta_mask)
+        return dom if self.gamma_mask is None else dom.with_gamma(self.gamma_mask)
 
 
 def membership(f: ScalarField, spec: ConstraintSpec) -> tuple[bool, np.ndarray, float]:
@@ -154,7 +153,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     slack = 1e-8 + 3.0 * spec.domain.h * lip
     ok, worst_g, margin_g = membership(g, spec)
     if margin_g > slack:
-        raise RuntimeError(
+        raise InvariantViolation(
             f"smoothed iterate infeasible: margin {margin_g} > slack {slack} "
             f"at node {worst_g}")
     return g, {
@@ -169,7 +168,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
 
 def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
                   kernel: Kernel, n_list, scheme: str = "W1p",
-                  threads: int = 1) -> StudyReport:
+                  threads: int = 1, _mn_cache: dict | None = None) -> StudyReport:
     """Feasible approximation study for one of the three density modes.
 
     ``scheme='Lp'`` measures L2 errors of the truncated-then-smoothed
@@ -187,7 +186,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     report.errors[token] = []
     betas = []
     mn_sups = []
-    cache: dict = {}
+    cache = {} if _mn_cache is None else _mn_cache
     for n in n_list:
         t0 = time.perf_counter()
         fn = f

@@ -2,19 +2,30 @@
 
 Domains are open bounded regions of R^N (N = 1, 2, 3) represented on uniform
 Cartesian vertex grids.  Box and ball domains carry exact closed-form distance
-functions; arbitrary regions are given by an inside mask and get their
-distance field from boundary-face midpoints (brute force on small grids, an
-exact Euclidean distance transform on large ones).
+functions.  Arbitrary regions are given by an inside mask; their boundary is
+the set of midpoints of the grid faces that separate inside from outside
+nodes.
+
+Every mask distance (sigma at the nodes, ``sigma_at`` off the grid, and the
+distance to an interior delta set) goes through one nearest-point query, a
+KD-tree over the target points.  It returns ``sqrt(min_j sum_a (x_a - p_ja)^2)``
+with the squares summed in axis order, so its bits are those of the plain
+all-pairs minimum.  The tree over the boundary midpoints is built once per
+domain and kept.  Above ``EDT_NODE_LIMIT`` nodes, sigma at the nodes comes
+from a Euclidean distance transform on the doubled grid instead, because the
+tree slows down there; that transform is exact up to rounding but does not
+match the all-pairs bits on every spacing, so it serves only those grids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "Domain",
@@ -27,9 +38,8 @@ __all__ = [
     "domain_from_json",
 ]
 
-# Node count below which mask-domain distances are done by brute force.
-BRUTE_FORCE_NODE_LIMIT = 10**6
-_CHUNK = 1 << 18
+# Node count above which mask-domain sigma uses the distance transform.
+EDT_NODE_LIMIT = 10**6
 
 
 def _as_bbox(bbox) -> tuple[tuple[float, float], ...]:
@@ -58,6 +68,7 @@ class Domain:
     delta_mask: np.ndarray | None = None
     gamma_mask: np.ndarray | None = None
     _sigma_values: np.ndarray | None = field(default=None, repr=False)
+    _face_tree: cKDTree | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.bbox = _as_bbox(self.bbox)
@@ -117,13 +128,14 @@ class Domain:
         return cls("mask", _as_bbox(bbox), inside_mask.shape, inside_mask.astype(bool))
 
     def with_delta(self, delta_mask: np.ndarray) -> "Domain":
-        """Copy of the domain with a closed interior zero-set attached."""
-        return Domain(self.kind, self.bbox, self.shape, self.inside_mask,
-                      delta_mask.astype(bool), self.gamma_mask)
+        """Copy of the domain with a closed interior zero-set attached.
+
+        Copies made here keep the boundary distances already computed, which
+        do not depend on the delta or gamma set."""
+        return replace(self, delta_mask=delta_mask.astype(bool))
 
     def with_gamma(self, gamma_mask: np.ndarray) -> "Domain":
-        return Domain(self.kind, self.bbox, self.shape, self.inside_mask,
-                      self.delta_mask, gamma_mask.astype(bool))
+        return replace(self, gamma_mask=gamma_mask.astype(bool))
 
     # ------------------------------------------------------------------ #
     # grid geometry
@@ -204,11 +216,17 @@ class Domain:
         return self._mask_sigma()
 
     def _mask_sigma(self) -> np.ndarray:
-        if np.prod(self.shape) <= BRUTE_FORCE_NODE_LIMIT:
-            dist = self._mask_sigma_brute()
+        if np.prod(self.shape) <= EDT_NODE_LIMIT:
+            nodes = self.node_coords(np.ones(self.shape, dtype=bool))
+            dist = _nearest_distance(self._boundary_tree(), nodes).reshape(self.shape)
         else:
             dist = self._mask_sigma_edt()
         return np.where(self.inside_mask, dist, -dist)
+
+    def _boundary_tree(self) -> cKDTree:
+        if self._face_tree is None:
+            self._face_tree = cKDTree(self.boundary_face_midpoints())
+        return self._face_tree
 
     def boundary_face_midpoints(self) -> np.ndarray:
         """Midpoints of grid faces separating inside from outside nodes."""
@@ -230,16 +248,6 @@ class Domain:
         if not mids:
             raise ValueError("mask domain has no boundary faces")
         return np.concatenate(mids, axis=0)
-
-    def _mask_sigma_brute(self) -> np.ndarray:
-        mids = self.boundary_face_midpoints()
-        nodes = self.node_coords(np.ones(self.shape, dtype=bool))
-        out = np.empty(len(nodes))
-        for start in range(0, len(nodes), max(1, _CHUNK // max(1, len(mids)))):
-            chunk = nodes[start:start + max(1, _CHUNK // max(1, len(mids)))]
-            d2 = ((chunk[:, None, :] - mids[None, :, :]) ** 2).sum(-1)
-            out[start:start + len(chunk)] = np.sqrt(d2.min(axis=1))
-        return out.reshape(self.shape)
 
     def _mask_sigma_edt(self) -> np.ndarray:
         # Face midpoints live on the half-spacing lattice, so the transform
@@ -272,34 +280,12 @@ class Domain:
             center = (self.lo + self.hi) / 2.0
             radius = min((hi - lo) / 2.0 for lo, hi in self.bbox)
             return radius - np.sqrt(((points - center) ** 2).sum(axis=1))
-        mids = self.boundary_face_midpoints()
-        out = np.empty(len(points))
-        step = max(1, _CHUNK // max(1, len(mids)))
-        for start in range(0, len(points), step):
-            chunk = points[start:start + step]
-            d2 = ((chunk[:, None, :] - mids[None, :, :]) ** 2).sum(-1)
-            out[start:start + len(chunk)] = np.sqrt(d2.min(axis=1))
-        return out
+        return _nearest_distance(self._boundary_tree(), points)
 
     def delta_coords(self) -> np.ndarray | None:
         if self.delta_mask is None or not self.delta_mask.any():
             return None
         return self.node_coords(self.delta_mask)
-
-    def theta_dist_at(self, points: np.ndarray) -> np.ndarray:
-        """Distance to Theta = boundary + delta set at arbitrary points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.sigma_at(points)
-        deltas = self.delta_coords()
-        if deltas is None:
-            return d
-        d_delta = np.empty(len(points))
-        step = max(1, _CHUNK // max(1, len(deltas)))
-        for start in range(0, len(points), step):
-            chunk = points[start:start + step]
-            d2 = ((chunk[:, None, :] - deltas[None, :, :]) ** 2).sum(-1)
-            d_delta[start:start + len(chunk)] = np.sqrt(d2.min(axis=1))
-        return np.minimum(d, d_delta)
 
     # ------------------------------------------------------------------ #
     # interpolation
@@ -340,6 +326,11 @@ class Domain:
             corner_vals = [v0 + t * (v1 - v0)
                            for v0, v1 in zip(corner_vals[0::2], corner_vals[1::2])]
         return corner_vals[0]
+
+
+def _nearest_distance(tree: cKDTree, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest point held by ``tree``."""
+    return tree.query(points, workers=1)[0]
 
 
 def _resolution_tuple(resolution, dim: int) -> tuple[int, ...]:
@@ -460,13 +451,8 @@ def distance_field(domain: Domain, target: str = "boundary") -> ScalarField:
     if deltas is None:
         return sigma
     nodes = domain.node_coords(np.ones(domain.shape, dtype=bool))
-    d_delta = np.empty(len(nodes))
-    step = max(1, _CHUNK // max(1, len(deltas)))
-    for start in range(0, len(nodes), step):
-        chunk = nodes[start:start + step]
-        d2 = ((chunk[:, None, :] - deltas[None, :, :]) ** 2).sum(-1)
-        d_delta[start:start + len(chunk)] = np.sqrt(d2.min(axis=1))
-    return ScalarField(domain, np.minimum(sigma.values, d_delta.reshape(domain.shape)))
+    d_delta = _nearest_distance(cKDTree(deltas), nodes).reshape(domain.shape)
+    return ScalarField(domain, np.minimum(sigma.values, d_delta))
 
 
 def boundary_shell(domain: Domain, width: float) -> np.ndarray:

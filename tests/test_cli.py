@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mollikit import cli, feasible
 from mollikit.grid import Domain, ScalarField, read_field_csv, write_field_csv
 
 DOMAIN_65 = '{"kind": "box", "bbox": [[0.0, 1.0]], "resolution": [65]}'
@@ -133,6 +134,58 @@ def test_feasible_subcommand(workdir):
     report = json.loads(out.read_text())
     assert all(c["pass"] for c in report["bound_checks"])
     assert (itdir / "iterate_n8.csv").exists()
+
+
+def _feasible_args(tmp_path, n="1,2,4"):
+    dom = Domain.box([(0.0, 1.0)], 65)
+    x = dom.axis_coords(0)
+    write_field_csv(ScalarField(dom, np.minimum(x, 1 - x)), tmp_path / "alpha.csv")
+    write_field_csv(ScalarField(dom, 0.9 * np.minimum(x, 1 - x)), tmp_path / "f.csv")
+    return ["feasible", "--f", str(tmp_path / "f.csv"),
+            "--alpha", str(tmp_path / "alpha.csv"), "--domain", DOMAIN_65,
+            "--kernel", '{"profile": "bump", "order": 16}', "--n", n,
+            "--out", str(tmp_path / "feas.json"), "--no-timestamp"]
+
+
+def test_feasible_iterates_reuse_the_study_factors(tmp_path, monkeypatch):
+    calls = []
+    original = feasible.convergence_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(feasible, "convergence_factor", counting)
+    argv = _feasible_args(tmp_path) + ["--emit-iterates", str(tmp_path / "it")]
+    assert cli.main(argv) == 0
+    assert calls == [1, 2, 4]
+    assert (tmp_path / "it" / "iterate_n4.csv").exists()
+
+
+def test_feasible_infeasible_iterate_exits_one(tmp_path, monkeypatch, capsys):
+    # the input passes the membership test, the smoothed iterate does not
+    def membership(f, spec):
+        return True, spec.domain.node_coords()[0], 1.0
+
+    monkeypatch.setattr(feasible, "membership", membership)
+    assert cli.main(_feasible_args(tmp_path, "1")) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert "smoothed iterate infeasible" in out["failed_invariant"]
+
+
+@pytest.mark.parametrize("threads, env", [("0", None), ("-3", None), ("two", None),
+                                          (None, "0"), (None, "1.5"), (None, "")])
+def test_bad_thread_count_is_config_error(threads, env, tmp_path, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("MOLLIKIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MOLLIKIT_THREADS", env)
+    argv = ["counterexample", "--resolutions", "65", "--out", str(tmp_path / "ce.json")]
+    if threads is not None:
+        argv += ["--threads", threads]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "thread count" in err["config_error"]
 
 
 def test_bad_json_is_config_error():

@@ -7,6 +7,8 @@ from mollikit.grid import (Domain, ScalarField, boundary_shell, distance_field,
                            domain_from_json, gradient_central, read_field_csv,
                            write_field_csv)
 
+from distance_oracle import mask_sigma, nearest_distance
+
 
 def test_box_sigma_1d_node_values():
     dom = Domain.box([(0.0, 1.0)], 11)
@@ -94,17 +96,71 @@ def test_mask_sigma_matches_offset_box_and_edt_agrees():
     sig_mask = mask.sigma().values[mask.inside_mask]
     # the mask boundary is the face-midpoint surface, half a cell inside
     assert np.allclose(sig_mask, sig_box - mask.h / 2.0)
-    # the large-grid transform is exact: must agree with brute force
-    brute = mask._mask_sigma_brute()
-    edt = mask._mask_sigma_edt()
-    assert np.allclose(brute, edt, atol=1e-12)
+    # sigma is the all-pairs distance to the face midpoints, bit for bit; on
+    # this dyadic spacing the large-grid transform matches it bit for bit too
+    brute = mask_sigma(mask)
+    assert np.array_equal(np.abs(mask.sigma().values), brute)
+    assert np.array_equal(brute, mask._mask_sigma_edt())
 
 
 def test_mask_sigma_2d_edt_vs_brute():
-    rng = np.random.default_rng(7)
     base = Domain.ball([(0.0, 1.0), (0.0, 1.0)], 25)
     dom = Domain.from_mask([(0.0, 1.0), (0.0, 1.0)], base.inside_mask)
-    assert np.allclose(dom._mask_sigma_brute(), dom._mask_sigma_edt(), atol=1e-12)
+    brute = mask_sigma(dom)
+    assert np.array_equal(np.abs(dom.sigma().values), brute)
+    # spacing 1/24 is not dyadic: the transform matches only up to rounding
+    assert np.allclose(brute, dom._mask_sigma_edt(), atol=1e-12)
+
+
+def _random_mask(rng, shape):
+    inside = rng.random(shape) < 0.6
+    for axis in range(len(shape)):
+        for idx in (0, -1):
+            np.moveaxis(inside, axis, 0)[idx] = False
+    return inside
+
+
+@pytest.mark.parametrize("bbox, shape", [
+    ([(0.0, 1.0)], (65,)),
+    ([(-0.3, 2.2)], (97,)),
+    ([(0.0, 1.3), (-0.2, 0.5)], (41, 29)),
+    ([(0.0, 1.0), (0.0, 1.0)], (25, 25)),
+    ([(0.0, 1.0)] * 3, (13, 13, 13)),
+    ([(0.1, 0.7), (0.0, 1.9), (-1.0, 0.3)], (13, 19, 11)),
+])
+def test_mask_distances_bitwise_equal_to_all_pairs_oracle(bbox, shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    inside = _random_mask(rng, shape)
+    dom = Domain.from_mask(bbox, inside)
+    nodes = dom.node_coords(np.ones(shape, dtype=bool))
+    mids = dom.boundary_face_midpoints()
+    brute = nearest_distance(nodes, mids).reshape(shape)
+
+    sigma = dom.sigma().values
+    assert np.array_equal(sigma, np.where(inside, brute, -brute))
+    # off-grid queries, and the nodes themselves, through sigma_at
+    pts = rng.uniform(dom.lo, dom.hi, size=(2000, len(shape)))
+    assert np.array_equal(dom.sigma_at(pts), nearest_distance(pts, mids))
+    assert np.array_equal(dom.sigma_at(nodes).reshape(shape), np.abs(sigma))
+
+    delta = inside & (rng.random(shape) < 0.05)
+    delta.flat[np.flatnonzero(inside)[0]] = True
+    theta = distance_field(dom.with_delta(delta), "theta").values
+    d_delta = nearest_distance(nodes, dom.node_coords(delta)).reshape(shape)
+    assert np.array_equal(theta, np.minimum(sigma, d_delta))
+
+
+def test_with_delta_and_gamma_keep_the_boundary_distances():
+    dom = Domain.from_mask([(0.0, 1.0), (0.0, 1.0)],
+                           Domain.ball([(0.0, 1.0), (0.0, 1.0)], 33).inside_mask)
+    sigma = dom.sigma().values
+    dom.sigma_at(np.array([[0.5, 0.5]]))
+    delta = np.zeros(dom.shape, dtype=bool)
+    delta[16, 16] = True
+    copy = dom.with_delta(delta).with_gamma(~dom.inside_mask)
+    assert copy._sigma_values is dom._sigma_values
+    assert copy._face_tree is dom._face_tree
+    assert np.array_equal(copy.sigma().values, sigma)
 
 
 def test_interpolation_constant_is_exact():

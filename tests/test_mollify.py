@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from mollikit._sampling import _chunks
 from mollikit.analysis import tf0_closed
 from mollikit.eta import EtaProfile, build_whitney_eta, quadratic_eta
 from mollikit.grid import Domain, ScalarField, gradient_central
@@ -172,6 +175,17 @@ def test_thread_count_does_not_change_bits(quad_cfg):
     a = mollify(f, quad_cfg, threads=1).values
     b = mollify(f, quad_cfg, threads=4).values
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads", [3, 1000, 10**6])
+def test_worker_slices_capped_at_usable_cpus(threads):
+    # only slices are made here; no thread is started
+    slices = _chunks(10**6, threads)
+    assert 1 <= len(slices) <= len(os.sched_getaffinity(0))
+    covered = np.zeros(10**6, dtype=int)
+    for sl in slices:
+        covered[sl] += 1
+    assert (covered == 1).all()
 
 
 def test_mollify_at_points_matches_nodes(quad_cfg):
