@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from .eta import EtaProfile
 from .grid import Domain, ScalarField, gradient_central
 from .kernels import Kernel, make_kernel, unit_ball_volume
-from .mollify import MollifierConfig, mollify
+from .mollify import MollifierConfig, _mollify_sweep, mollify
 
 __all__ = [
     "InvariantViolation",
@@ -519,27 +519,15 @@ def trace_check(f: ScalarField, cfg: MollifierConfig,
     """Boundary-shell comparison of the smoothed field against the input.
 
     On each shell the max deviation is compared to the max local oscillation
-    of the input at the sampling radius (measured from the same quadrature
-    samples); both tend to zero as the shells tighten.
+    ``max_k |f(x - s z_k) - f(x)|`` of the input at the sampling radius, read
+    off the hull of the smoothing pass's own samples; both tend to zero as
+    the shells tighten.
     """
     dom = cfg.domain
-    tf = mollify(f, cfg, threads=threads)
+    tf, sweep = _mollify_sweep(f, cfg, threads)
     sigma = dom.sigma().values[dom.inside_mask]
-    pts = dom.node_coords(dom.inside_mask)
-    step = cfg.step_inside()
     f_in = f.values[dom.inside_mask]
-
-    osc = np.zeros(len(pts))
-    active = step >= dom.h
-    if active.any():
-        idx = np.flatnonzero(active)
-        x = pts[idx]
-        s = step[idx][:, None]
-        best = np.zeros(len(idx))
-        for k in range(len(cfg.kernel.nodes)):
-            vals = f.at(x - s * cfg.kernel.nodes[k])
-            np.maximum(best, np.abs(vals - f_in[idx]), out=best)
-        osc[idx] = best
+    osc = np.maximum(sweep.hi[0] - f_in, f_in - sweep.lo[0])
 
     dev = np.abs(tf.values[dom.inside_mask] - f_in)
     rows = []

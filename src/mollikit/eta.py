@@ -118,10 +118,9 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
         def sample(p, _src=src):
             return domain.interpolate(_src, p)
 
-        vals, _ = variable_step_average(pts, step, kernel, sample,
-                                        src[domain.inside_mask], domain.h)
         smoothed = smoothed.copy()
-        smoothed[domain.inside_mask] = vals
+        smoothed[domain.inside_mask] = variable_step_average(
+            pts, step, kernel, [sample], [src[domain.inside_mask]], domain.h).values[0]
 
     raw = np.minimum(smoothed, d * CLAMP)
     raw = np.maximum(raw, 0.0)
@@ -158,9 +157,9 @@ def regularized_distance(domain: Domain, epsilon: float,
     base = build_whitney_eta(domain, None, min(epsilon, 0.5))
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
-    vals, _ = variable_step_average(pts, base.values[domain.inside_mask], kernel,
-                                    domain.sigma_at, sigma[domain.inside_mask],
-                                    domain.h)
+    vals = variable_step_average(pts, base.values[domain.inside_mask], kernel,
+                                 [domain.sigma_at], [sigma[domain.inside_mask]],
+                                 domain.h).values[0]
     vals = np.minimum(vals, sigma[domain.inside_mask] * CLAMP)
 
     s = sigma[domain.inside_mask]
@@ -222,8 +221,8 @@ def bv_step_eta(domain: Domain, n: int, quad_eta: EtaProfile,
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
     step = quad_eta.values[domain.inside_mask] / n
-    vals, _ = variable_step_average(pts, step, kernel, domain.sigma_at,
-                                    sigma[domain.inside_mask], domain.h)
+    vals = variable_step_average(pts, step, kernel, [domain.sigma_at],
+                                 [sigma[domain.inside_mask]], domain.h).values[0]
     s = sigma[domain.inside_mask]
     vals = np.minimum(vals, s)
     sq = vals * vals

@@ -105,8 +105,7 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
     def sample(p):
         return dom.interpolate(spec.alpha.values, p)
 
-    best = variable_step_max(pts, step, kernel, sample, alpha_in,
-                             include_axis_extremes=True, threads=threads)
+    best = variable_step_max(pts, step, kernel, sample, alpha_in, threads=threads)
     m = np.ones(dom.shape)
     ratios = np.ones(len(pts))
     free = ~theta[dom.inside_mask]

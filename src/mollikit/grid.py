@@ -358,8 +358,9 @@ class ScalarField:
         if self.values.shape != self.domain.shape:
             raise ValueError(
                 f"field shape {self.values.shape} != grid shape {self.domain.shape}")
-        if not np.isfinite(self.values[self.domain.inside_mask]).all():
-            raise ValueError("field has non-finite values at inside nodes")
+        # boundary values are read by interpolation, so they must be finite too
+        if not np.isfinite(self.values).all():
+            raise ValueError("field has non-finite values")
 
     @classmethod
     def from_function(cls, domain: Domain, fn: Callable) -> "ScalarField":

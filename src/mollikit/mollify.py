@@ -11,7 +11,7 @@ exact in floating point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class MollifierConfig:
     n: int | None = None
     variant: str = "standard"
     allow_boundary_step: bool = False
-    subgrid_flags: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         if self.variant not in ("standard", "modified"):
@@ -84,9 +83,9 @@ class MollifierConfig:
         return s / self.n if self.n is not None else s
 
 
-def _sample_closure(f, cfg: MollifierConfig):
-    """Point evaluator for the input: interpolates fields, passes callables."""
-    clamp = cfg.allow_boundary_step
+def _sample_closure(f, clamp: bool):
+    """Point evaluator for the input: interpolates fields (pulling points
+    onto the bounding box when ``clamp``), passes callables."""
     if callable(f):
         return lambda p: np.asarray(f(p), dtype=float)
     values = f.values
@@ -107,17 +106,17 @@ def mollify(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> ScalarFie
     """Apply the smoothing operator to a sampled field.
 
     Nodes with zero step keep their value exactly; nodes whose step is below
-    one grid spacing are returned unchanged and flagged on the config (the
-    operator is near-identity there and interpolation noise would dominate).
+    one grid spacing are returned unchanged (the operator is near-identity
+    there and interpolation noise would dominate);
+    ``mollify_with_report`` counts them as ``flagged_subgrid_nodes``.
     """
-    out, _ = _mollify_core(f, cfg, threads)
-    return out
+    return _mollify_sweep(f, cfg, threads)[0]
 
 
 def mollify_with_report(f: ScalarField, cfg: MollifierConfig,
                         threads: int = 1) -> tuple[ScalarField, dict]:
     t0 = time.perf_counter()
-    out, active = _mollify_core(f, cfg, threads)
+    out, sweep = _mollify_sweep(f, cfg, threads)
     step = cfg.step_inside()
     inside_abs = np.abs(f.values[f.domain.inside_mask])
     sup_f = float(inside_abs.max())
@@ -125,26 +124,24 @@ def mollify_with_report(f: ScalarField, cfg: MollifierConfig,
     report = {
         "sup_ratio": sup_tf / sup_f if sup_f > 0 else 0.0,
         "identity_nodes": int((step == 0.0).sum()),
-        "flagged_subgrid_nodes": int(((step > 0.0) & ~active).sum()),
+        "flagged_subgrid_nodes": int(((step > 0.0) & ~sweep.active).sum()),
         "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
     return out, report
 
 
-def _mollify_core(f: ScalarField, cfg: MollifierConfig, threads: int):
+def _mollify_sweep(f: ScalarField, cfg: MollifierConfig, threads: int):
+    """The smoothed field and the sweep over the inside nodes behind it."""
     dom = cfg.domain
     if f.domain is not dom and (f.domain.shape != dom.shape or f.domain.bbox != dom.bbox):
         raise ValueError("field grid does not match the operator's grid")
     pts = dom.node_coords(dom.inside_mask)
-    step = cfg.step_inside()
-    sample = _sample_closure(f, cfg)
-    vals, active = variable_step_average(pts, step, cfg.kernel, sample,
-                                         f.values[dom.inside_mask], dom.h,
-                                         threads=threads)
+    sweep = variable_step_average(pts, cfg.step_inside(), cfg.kernel,
+                                  [_sample_closure(f, cfg.allow_boundary_step)],
+                                  [f.values[dom.inside_mask]], dom.h, threads=threads)
     out = f.values.copy()
-    out[dom.inside_mask] = vals
-    cfg.subgrid_flags = (step > 0.0) & ~active
-    return ScalarField(dom, out), active
+    out[dom.inside_mask] = sweep.values[0]
+    return ScalarField(dom, out), sweep
 
 
 def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray,
@@ -156,11 +153,31 @@ def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray,
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     step = cfg.step_at(points)
-    sample = _sample_closure(f, cfg)
-    identity = sample(points)
-    vals, _ = variable_step_average(points, step, cfg.kernel, sample, identity,
-                                    cfg.domain.h, threads=threads)
-    return vals
+    sample = _sample_closure(f, cfg.allow_boundary_step)
+    return variable_step_average(points, step, cfg.kernel, [sample], [sample(points)],
+                                 cfg.domain.h, threads=threads).values[0]
+
+
+def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField],
+                    cfg: MollifierConfig, threads: int):
+    """One sweep over the gradient components and the ``extra`` fields.
+
+    Returns the analytic gradient of the smoothed field at the inside nodes,
+    one array per axis, and the smoothed components and extra fields.
+    """
+    if cfg.variant != "standard":
+        raise ValueError("gradient formula applies to the standard variant")
+    dom = cfg.domain
+    inside = dom.inside_mask
+    fields = grad_f.components + extra
+    sweep = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
+                           [_sample_closure(c, cfg.allow_boundary_step) for c in fields],
+                           [c.values[inside] for c in fields], dom.h, threads=threads)
+    inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
+    grad_eta = gradient_central(cfg.eta.field)
+    grad_tf = [sweep.values[axis] + inv_n * grad_eta.components[axis].values[inside] * sweep.zdot
+               for axis in range(dom.dim)]
+    return grad_tf, sweep.values
 
 
 def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig,
@@ -173,31 +190,11 @@ def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig,
     where the step vanishes.  Nodes under the subgrid guard return the input
     gradient unchanged.
     """
-    if cfg.variant != "standard":
-        raise ValueError("gradient formula applies to the standard variant")
     dom = cfg.domain
-    pts = dom.node_coords(dom.inside_mask)
-    step = cfg.step_inside()
-    grad_samples = [_sample_closure(c, cfg) for c in grad_f.components]
-
-    t_grad = []
-    for comp, sample in zip(grad_f.components, grad_samples):
-        vals, _ = variable_step_average(pts, step, cfg.kernel, sample,
-                                        comp.values[dom.inside_mask], dom.h,
-                                        threads=threads)
-        arr = comp.values.copy()
+    grad_tf, _ = _gradient_sweep(grad_f, [], cfg, threads)
+    out = [comp.values.copy() for comp in grad_f.components]
+    for arr, vals in zip(out, grad_tf):
         arr[dom.inside_mask] = vals
-        t_grad.append(arr)
-
-    scalar = weighted_z_dot(pts, step, cfg.kernel, grad_samples, dom.h,
-                            threads=threads)
-    inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
-    grad_eta = gradient_central(cfg.eta.field)
-    out = []
-    for axis in range(dom.dim):
-        arr = t_grad[axis]
-        arr[dom.inside_mask] += inv_n * grad_eta.components[axis].values[dom.inside_mask] * scalar
-        out.append(arr)
     return VectorField.from_arrays(dom, out)
 
 
@@ -213,28 +210,16 @@ def pointwise_gradient_bound_check(f: ScalarField, cfg: MollifierConfig,
     inside = dom.inside_mask
     slack = 1e-8 + 5.0 * dom.h
     grad_f = gradient_central(f)
-    grad_tf = mollify_gradient(f, grad_f, cfg, threads=threads)
+    grad_tf, smoothed = _gradient_sweep(grad_f, [grad_f.magnitude()], cfg, threads)
+    t_comp, t_mag = smoothed[:dom.dim], smoothed[dom.dim]
 
     pts = dom.node_coords(inside)
-    step = cfg.step_inside()
-    t_comp = []
-    for comp in grad_f.components:
-        vals, _ = variable_step_average(pts, step, cfg.kernel,
-                                        _sample_closure(comp, cfg),
-                                        comp.values[inside], dom.h, threads=threads)
-        t_comp.append(vals)
-    mag = grad_f.magnitude()
-    t_mag, _ = variable_step_average(pts, step, cfg.kernel,
-                                     _sample_closure(mag, cfg),
-                                     mag.values[inside], dom.h, threads=threads)
-
     grad_eta_mag = gradient_central(cfg.eta.field).magnitude().values[inside]
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
-    lhs_full = np.sqrt(sum(c.values[inside] ** 2 for c in grad_tf.components))
+    lhs_full = np.sqrt(sum(g ** 2 for g in grad_tf))
     t_grad_mag = np.sqrt(sum(v ** 2 for v in t_comp))
     margin_full = lhs_full - (t_grad_mag + grad_eta_mag * t_mag) - slack
-    diff = np.sqrt(sum((c.values[inside] - v) ** 2
-                       for c, v in zip(grad_tf.components, t_comp)))
+    diff = np.sqrt(sum((g - v) ** 2 for g, v in zip(grad_tf, t_comp)))
     margin_comm = diff - (grad_eta_mag * inv_n) * t_mag - slack
 
     worst_full = int(np.argmax(margin_full))
@@ -289,10 +274,9 @@ def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
     interior zero set of eta1.
     """
     dom = eta1.domain
+    if kernel.dim != dom.dim:
+        raise ValueError("kernel dim does not match domain dim")
     grad_f = gradient_central(f)
-    grad_samples = [_sample_closure(c, MollifierConfig(kernel, eta1, None))
-                    for c in grad_f.components]
-    pts = dom.node_coords(dom.inside_mask)
 
     if n is not None:
         step = (eta1.values + eta0.values / n)[dom.inside_mask]
@@ -303,7 +287,10 @@ def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
         step = eta1.values[dom.inside_mask].copy()
         weights = [g.values for g in gradient_central(eta1.field).components]
 
-    scalar = weighted_z_dot(pts, step, kernel, grad_samples, dom.h, threads=threads)
+    scalar = weighted_z_dot(dom.node_coords(dom.inside_mask), step, kernel,
+                            [_sample_closure(c, False) for c in grad_f.components],
+                            [c.values[dom.inside_mask] for c in grad_f.components],
+                            dom.h, threads=threads).zdot
     delta = eta1.theta_mask & dom.inside_mask
     out = []
     for axis in range(dom.dim):

@@ -1,0 +1,263 @@
+"""Node loops written out one per use, the reference for the library's
+single sampling sweep.
+
+Each operator here makes its own pass over the kernel nodes, the way the
+library did before all of them were folded into ``mollikit._sampling``:
+the weighted average with its hull clamp, the mirror-pair z-dot sum (which
+samples each gradient component again), the ball max, and the oscillation
+loop of the boundary-trace check.  The arithmetic per (point, node) is the
+same, so the library must agree with these bit for bit.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from mollikit._sampling import _run
+from mollikit.grid import gradient_central
+
+
+def variable_step_average(points, step, kernel, sample_fn, identity_values, h,
+                          threads=1):
+    points = np.atleast_2d(points)
+    out = np.array(identity_values, dtype=float, copy=True)
+    active = step >= h
+    if not active.any():
+        return out, active
+    act_idx = np.flatnonzero(active)
+
+    def worker(sl):
+        idx = act_idx[sl]
+        x = points[idx]
+        s = step[idx][:, None]
+        acc = np.zeros(len(idx))
+        lo = np.full(len(idx), np.inf)
+        hi = np.full(len(idx), -np.inf)
+        for k in range(len(kernel.nodes)):
+            vals = sample_fn(x - s * kernel.nodes[k])
+            acc += kernel.coeffs[k] * vals
+            np.minimum(lo, vals, out=lo)
+            np.maximum(hi, vals, out=hi)
+        out[idx] = np.clip(acc, lo, hi)
+
+    _run(worker, len(act_idx), threads)
+    return out, active
+
+
+def weighted_z_dot(points, step, kernel, grad_sample_fns, h, threads=1):
+    points = np.atleast_2d(points)
+    out = np.zeros(len(points))
+    active = step >= h
+    if not active.any():
+        return out
+    act_idx = np.flatnonzero(active)
+    pc = kernel.paired_count
+
+    def worker(sl):
+        idx = act_idx[sl]
+        x = points[idx]
+        s = step[idx][:, None]
+        acc = np.zeros(len(idx))
+        for p in range(pc // 2):
+            z = kernel.nodes[2 * p]
+            shift = s * z
+            diff = np.zeros(len(idx))
+            for axis, g in enumerate(grad_sample_fns):
+                if z[axis] != 0.0:
+                    diff += z[axis] * (g(x + shift) - g(x - shift))
+            acc += kernel.coeffs[2 * p] * diff
+        out[idx] = acc
+
+    _run(worker, len(act_idx), threads)
+    return out
+
+
+def variable_step_max(points, step, kernel, sample_fn, identity_values, threads=1):
+    points = np.atleast_2d(points)
+    dim = points.shape[1]
+    out = np.array(identity_values, dtype=float, copy=True)
+    act_idx = np.flatnonzero(step > 0.0)
+    if len(act_idx) == 0:
+        return out
+
+    def worker(sl):
+        idx = act_idx[sl]
+        x = points[idx]
+        s = step[idx][:, None]
+        best = np.array(out[idx], copy=True)
+        for k in range(len(kernel.nodes)):
+            np.maximum(best, sample_fn(x - s * kernel.nodes[k]), out=best)
+        for axis in range(dim):
+            for sign in (-1.0, 1.0):
+                shifted = x.copy()
+                shifted[:, axis] += sign * s[:, 0]
+                np.maximum(best, sample_fn(shifted), out=best)
+        out[idx] = best
+
+    _run(worker, len(act_idx), threads)
+    return out
+
+
+def _sample(f, clamp):
+    if callable(f):
+        return lambda p: np.asarray(f(p), dtype=float)
+    return lambda p: f.domain.interpolate(f.values, p, clamp=clamp)
+
+
+# ---------------------------------------------------------------------- #
+# the operators, each over its own loops
+
+
+def mollify(f, cfg, threads=1):
+    dom = cfg.domain
+    vals, _ = variable_step_average(dom.node_coords(dom.inside_mask), cfg.step_inside(),
+                                    cfg.kernel, _sample(f, cfg.allow_boundary_step),
+                                    f.values[dom.inside_mask], dom.h, threads)
+    out = f.values.copy()
+    out[dom.inside_mask] = vals
+    return out
+
+
+def mollify_at_points(f, cfg, points, threads=1):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    sample = _sample(f, cfg.allow_boundary_step)
+    vals, _ = variable_step_average(points, cfg.step_at(points), cfg.kernel, sample,
+                                    sample(points), cfg.domain.h, threads)
+    return vals
+
+
+def _smoothed_inside(fields, cfg, threads):
+    dom = cfg.domain
+    pts = dom.node_coords(dom.inside_mask)
+    return [variable_step_average(pts, cfg.step_inside(), cfg.kernel,
+                                  _sample(c, cfg.allow_boundary_step),
+                                  c.values[dom.inside_mask], dom.h, threads)[0]
+            for c in fields]
+
+
+def mollify_gradient(f, grad_f, cfg, threads=1):
+    dom = cfg.domain
+    inside = dom.inside_mask
+    samples = [_sample(c, cfg.allow_boundary_step) for c in grad_f.components]
+    scalar = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
+                            samples, dom.h, threads)
+    inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
+    grad_eta = gradient_central(cfg.eta.field)
+    out = []
+    for axis, (comp, vals) in enumerate(zip(grad_f.components,
+                                            _smoothed_inside(grad_f.components, cfg, threads))):
+        arr = comp.values.copy()
+        arr[inside] = vals
+        arr[inside] += inv_n * grad_eta.components[axis].values[inside] * scalar
+        out.append(arr)
+    return out
+
+
+def pointwise_gradient_bound_check(f, cfg, threads=1):
+    dom = cfg.domain
+    inside = dom.inside_mask
+    slack = 1e-8 + 5.0 * dom.h
+    grad_f = gradient_central(f)
+    grad_tf = mollify_gradient(f, grad_f, cfg, threads)
+    t_comp = _smoothed_inside(grad_f.components, cfg, threads)
+    t_mag = _smoothed_inside([grad_f.magnitude()], cfg, threads)[0]
+    pts = dom.node_coords(inside)
+    grad_eta_mag = gradient_central(cfg.eta.field).magnitude().values[inside]
+    inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
+    lhs_full = np.sqrt(sum(c[inside] ** 2 for c in grad_tf))
+    t_grad_mag = np.sqrt(sum(v ** 2 for v in t_comp))
+    margin_full = lhs_full - (t_grad_mag + grad_eta_mag * t_mag) - slack
+    diff = np.sqrt(sum((c[inside] - v) ** 2 for c, v in zip(grad_tf, t_comp)))
+    margin_comm = diff - (grad_eta_mag * inv_n) * t_mag - slack
+    worst_full = int(np.argmax(margin_full))
+    worst_comm = int(np.argmax(margin_comm))
+    return {
+        "slack": slack,
+        "violations": int((margin_full > 0).sum() + (margin_comm > 0).sum()),
+        "max_margin_triangle": float(margin_full.max()),
+        "worst_node_triangle": pts[worst_full].tolist(),
+        "max_margin_commutator": float(margin_comm.max()),
+        "worst_node_commutator": pts[worst_comm].tolist(),
+    }
+
+
+def trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=1):
+    dom = cfg.domain
+    tf = mollify(f, cfg, threads)
+    sigma = dom.sigma().values[dom.inside_mask]
+    pts = dom.node_coords(dom.inside_mask)
+    step = cfg.step_inside()
+    f_in = f.values[dom.inside_mask]
+    osc = np.zeros(len(pts))
+    active = step >= dom.h
+    if active.any():
+        idx = np.flatnonzero(active)
+        x = pts[idx]
+        s = step[idx][:, None]
+        best = np.zeros(len(idx))
+        for k in range(len(cfg.kernel.nodes)):
+            vals = f.at(x - s * cfg.kernel.nodes[k])
+            np.maximum(best, np.abs(vals - f_in[idx]), out=best)
+        osc[idx] = best
+    dev = np.abs(tf[dom.inside_mask] - f_in)
+    rows = []
+    for w in widths_in_h:
+        shell = sigma <= w * dom.h
+        if not shell.any():
+            rows.append({"width_in_h": w, "max_dev": 0.0, "osc_bound": 0.0, "pass": True})
+            continue
+        max_dev = float(dev[shell].max())
+        osc_bound = float(osc[shell].max())
+        rows.append({"width_in_h": w, "max_dev": max_dev, "osc_bound": osc_bound,
+                     "pass": bool(max_dev <= osc_bound + 1e-12)})
+    return {"rows": rows, "violations": sum(not r["pass"] for r in rows)}
+
+
+def psi_field(f, eta1, eta0, n, kernel, threads=1):
+    dom = eta1.domain
+    inside = dom.inside_mask
+    grad_f = gradient_central(f)
+    samples = [_sample(c, False) for c in grad_f.components]
+    if n is not None:
+        step = (eta1.values + eta0.values / n)[inside]
+        weights = [g1.values + g0.values / n for g1, g0 in
+                   zip(gradient_central(eta1.field).components,
+                       gradient_central(eta0.field).components)]
+    else:
+        step = eta1.values[inside].copy()
+        weights = [g.values for g in gradient_central(eta1.field).components]
+    scalar = weighted_z_dot(dom.node_coords(inside), step, kernel, samples, dom.h, threads)
+    delta = eta1.theta_mask & inside
+    out = []
+    for axis in range(dom.dim):
+        arr = np.zeros(dom.shape)
+        arr[inside] = weights[axis][inside] * scalar
+        if n is None:
+            arr[delta] = 0.0
+        out.append(arr)
+    return out
+
+
+def convergence_factor(spec, eta, n, kernel, threads=1):
+    dom = spec.domain
+    theta = spec.theta_mask
+    pts = dom.node_coords(dom.inside_mask)
+    alpha_in = spec.alpha.values[dom.inside_mask]
+    best = variable_step_max(pts, eta.values[dom.inside_mask] / n, kernel,
+                             lambda p: dom.interpolate(spec.alpha.values, p),
+                             alpha_in, threads)
+    m = np.ones(dom.shape)
+    ratios = np.ones(len(pts))
+    free = ~theta[dom.inside_mask]
+    ratios[free] = best[free] / alpha_in[free]
+    m[dom.inside_mask] = ratios
+    m[theta] = 1.0
+    return m, float(np.abs(ratios - 1.0).max())
+
+
+def average_entry(points, step, kernel, sample_fns, identity_values, h, threads=1):
+    """Stands in for ``mollikit._sampling.variable_step_average`` with the
+    loop above, so that a caller's own arithmetic runs over the reference."""
+    rows = [variable_step_average(points, step, kernel, fn, ident, h, threads)[0]
+            for fn, ident in zip(sample_fns, identity_values)]
+    return SimpleNamespace(values=np.array(rows))

@@ -291,6 +291,7 @@ def test_trace_shell_errors_shrink(line, kernel1d):
     cfg = MollifierConfig(kernel1d, prof, n=1)
     f = ScalarField.from_function(line, lambda x: 1.0 + 2.0 * x + np.sin(6 * x))
     rep = trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0))
+    assert trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=2) == rep
     assert rep["violations"] == 0
     devs = [r["max_dev"] for r in rep["rows"]]
     assert devs[0] <= devs[2] / 2.0

@@ -70,6 +70,18 @@ def test_mollify_missing_input_is_config_error(workdir):
     assert "config_error" in res.stderr
 
 
+def test_mollify_boundary_nan_is_config_error(workdir):
+    lines = (workdir / "f.csv").read_text().splitlines()
+    lines[1] = "nan"  # the node at x = 0, on the boundary
+    (workdir / "f_nan.csv").write_text("\n".join(lines) + "\n")
+    res = run_cli("mollify", "--input", str(workdir / "f_nan.csv"),
+                  "--eta", '{"builder": "quadratic", "epsilon": 0.1}',
+                  "--domain", DOMAIN_257, "--n", "2",
+                  "--out", str(workdir / "x.csv"))
+    assert res.returncode == 2
+    assert "non-finite" in json.loads(res.stderr)["config_error"]
+
+
 def test_study_subcommand(workdir):
     out = workdir / "study.json"
     res = run_cli("study", "--fixture", "sin", "--domain", DOMAIN_257,

@@ -193,10 +193,11 @@ def test_field_validation():
     dom = Domain.box([(0.0, 1.0)], 9)
     with pytest.raises(ValueError, match="shape"):
         ScalarField(dom, np.zeros(5))
-    vals = np.zeros(dom.shape)
-    vals[4] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        ScalarField(dom, vals)
+    for node in (4, 0):  # inside, then boundary: interpolation reads both
+        vals = np.zeros(dom.shape)
+        vals[node] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(dom, vals)
 
 
 def test_domain_validation():

@@ -169,6 +169,30 @@ def test_report_fields(quad_cfg):
     assert report["flagged_subgrid_nodes"] > 0  # quadratic step dips below h
 
 
+def test_mollify_leaves_the_config_unchanged(quad_cfg):
+    before = dict(vars(quad_cfg))
+    mollify(ScalarField.constant(quad_cfg.domain, 1.0), quad_cfg)
+    assert vars(quad_cfg).keys() == before.keys()
+    assert all(vars(quad_cfg)[k] is v for k, v in before.items())
+
+
+def test_gradient_samples_each_component_once(square_cfg, monkeypatch):
+    dom = square_cfg.domain
+    sampled = []
+    interpolate = Domain.interpolate
+
+    def counting(self, values, points, clamp=False):
+        sampled.append(len(np.atleast_2d(points)))
+        return interpolate(self, values, points, clamp)
+
+    f = ScalarField.from_function(dom, lambda x, y: np.sin(3 * x) * y)
+    grad_f = gradient_central(f)
+    monkeypatch.setattr(Domain, "interpolate", counting)
+    mollify_gradient(f, grad_f, square_cfg)
+    active = int((square_cfg.step_inside() >= dom.h).sum())
+    assert sum(sampled) == dom.dim * len(square_cfg.kernel.nodes) * active
+
+
 def test_thread_count_does_not_change_bits(quad_cfg):
     rng = np.random.default_rng(9)
     f = ScalarField(quad_cfg.domain, rng.standard_normal(quad_cfg.domain.shape))
