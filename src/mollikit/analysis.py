@@ -11,15 +11,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from .eta import EtaProfile
 from .grid import Domain, ScalarField, gradient_central
-from .kernels import Kernel, make_kernel, unit_ball_volume
+from .kernels import Kernel, make_kernel, profile_value, unit_ball_volume
 from .mollify import MollifierConfig, _mollify_sweep, mollify
 
 __all__ = [
@@ -35,6 +36,10 @@ __all__ = [
     "trace_check",
     "NORM_TOKENS",
 ]
+
+
+# Lattice points per KD-tree ball query in the L1 column mass.
+_COLUMN_BLOCK = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -210,9 +215,11 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
     cell).  Only points whose averaging ball is grid-resolved (step >= h)
     enter; the operator acts as the identity elsewhere, so a probe in the
     unresolved region carries its identity column mass 1.
-    """
-    from .kernels import profile_value
 
+    The sum is taken in scatter form, the transpose of the operator: each
+    lattice point spreads its kernel onto the probes inside its own ball,
+    found through a KD-tree over the probes.
+    """
     h = dom.h
     out = np.where(probe_steps < h, 1.0, 0.0)
 
@@ -230,36 +237,23 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
     c = kernel.m_rho / s ** dom.dim
     cellvol = dom.cell_volume / refine ** dom.dim
 
-    # bucket integration points by the max ball radius for O(1) probe queries
-    smax = float(s.max())
-    keys = np.stack([np.floor((pts[:, a] - dom.bbox[a][0]) / smax).astype(np.int64)
-                     for a in range(dom.dim)], axis=-1)
-    buckets: dict[tuple, np.ndarray] = {}
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    split = np.flatnonzero((np.diff(sorted_keys, axis=0) != 0).any(axis=1)) + 1
-    for grp in np.split(order, split):
-        buckets[tuple(keys[grp[0]])] = grp
-
-    neighbor_offsets = list(product((-1, 0, 1), repeat=dom.dim))
-    for i, y in enumerate(probes):
-        key = tuple(int(np.floor((y[a] - dom.bbox[a][0]) / smax))
-                    for a in range(dom.dim))
-        cand = [buckets[k] for k in
-                (tuple(key[a] + off[a] for a in range(dom.dim))
-                 for off in neighbor_offsets) if k in buckets]
-        if not cand:
-            continue
-        idx = np.concatenate(cand)
-        d2 = ((pts[idx] - y) ** 2).sum(axis=1)
-        m = d2 < s[idx] ** 2
-        if not m.any():
-            continue
-        sel = idx[m]
-        r2 = d2[m] / (s[sel] * s[sel])
-        out[i] += cellvol * float(
-            (c[sel] * profile_value(kernel.profile, r2, kernel.n)).sum())
-    return out
+    tree = cKDTree(probes)
+    total = np.zeros(len(probes))
+    # blocks bound the Python lists the ball queries return
+    for start in range(0, len(pts), _COLUMN_BLOCK):
+        x = pts[start:start + _COLUMN_BLOCK]
+        sx = s[start:start + _COLUMN_BLOCK]
+        balls = tree.query_ball_point(x, sx)
+        counts = np.fromiter(map(len, balls), np.intp, len(balls))
+        j = np.fromiter(chain.from_iterable(balls), np.intp, counts.sum())
+        i = np.repeat(np.arange(len(x)), counts)
+        d2 = ((x[i] - probes[j]) ** 2).sum(axis=1)
+        m = d2 < sx[i] ** 2
+        i, j = i[m], j[m]
+        r2 = d2[m] / (sx[i] * sx[i])
+        w = c[start + i] * profile_value(kernel.profile, r2, kernel.n)
+        total += np.bincount(j, weights=w, minlength=len(probes))
+    return out + cellvol * total
 
 
 def l1_operator_norm(cfg: MollifierConfig, probe_count: int = 100,
@@ -338,7 +332,6 @@ def constant_step_probe(kernel: Kernel, cells: int = 3) -> float:
     grids = np.meshgrid(*([offs] * dim), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1) * h + h / 2.0
     r2 = (pts ** 2).sum(axis=1) / (c * c)
-    from .kernels import profile_value
     rho = profile_value(kernel.profile, np.where(r2 < 1.0, r2, 1.0), kernel.n)
     rho = np.where(r2 < 1.0, rho, 0.0)
     return float(h ** dim * (kernel.m_rho / c ** dim) * rho.sum())

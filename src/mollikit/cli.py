@@ -20,8 +20,8 @@ import numpy as np
 from . import analysis, feasible
 from .eta import (CertificationError, EtaProfile, build_whitney_eta, calibrated_eta,
                   estimate_modulus, quadratic_eta, regularized_distance)
-from .grid import (Domain, ScalarField, domain_from_json, gradient_central,
-                   read_field_csv, write_field_csv)
+from .grid import (Domain, ScalarField, _json_spec, domain_from_json,
+                   gradient_central, read_field_csv, write_field_csv)
 from .kernels import kernel_from_json, make_kernel
 from .mollify import (MollifierConfig, modified_config, mollify_gradient,
                       mollify_with_report, pointwise_gradient_bound_check)
@@ -143,8 +143,7 @@ def _load_domain(args) -> Domain:
 
 
 def _load_kernel(args, dim: int):
-    spec = args.kernel
-    spec = json.loads(spec) if spec.lstrip().startswith("{") else json.load(open(spec))
+    spec = _json_spec(args.kernel)
     spec.setdefault("dim", dim)
     return kernel_from_json(json.dumps(spec))
 
@@ -196,15 +195,6 @@ def _dump(report: dict, path, args) -> None:
         print(text)
 
 
-def _strip_runtime(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_runtime(v) for k, v in obj.items()
-                if k not in ("runtime_s", "runtime_ms")}
-    if isinstance(obj, list):
-        return [_strip_runtime(v) for v in obj]
-    return obj
-
-
 # ---------------------------------------------------------------------- #
 # subcommands
 
@@ -213,14 +203,8 @@ def cmd_eta(args) -> int:
     dom = _load_domain(args)
     kernel = _load_kernel(args, dom.dim)
     alpha = read_field_csv(args.alpha, dom) if args.alpha else None
-    if args.builder == "calibrated":
-        spec = json.dumps({"builder": "calibrated", "epsilon": args.epsilon})
-        prof = _eta_from_spec(spec, dom, kernel, alpha)
-    else:
-        spec = json.dumps({"builder": {"whitney": "whitney", "regdist": "regdist",
-                                       "quadratic": "quadratic"}[args.builder],
-                           "epsilon": args.epsilon})
-        prof = _eta_from_spec(spec, dom, kernel)
+    prof = _eta_from_spec(json.dumps({"builder": args.builder, "epsilon": args.epsilon}),
+                          dom, kernel, alpha)
     write_field_csv(prof.field, args.out)
     report = {
         "builder": args.builder,

@@ -104,24 +104,21 @@ class Domain:
     def box(cls, bbox, resolution) -> "Domain":
         bbox = _as_bbox(bbox)
         shape = _resolution_tuple(resolution, len(bbox))
-        inside = np.ones(shape, dtype=bool)
-        for axis in range(len(shape)):
-            sl = [slice(None)] * len(shape)
-            for idx in (0, -1):
-                sl[axis] = idx
-                inside[tuple(sl)] = False
-        return cls("box", bbox, shape, inside)
+        return cls("box", bbox, shape, _off_faces(shape))
 
     @classmethod
     def ball(cls, bbox, resolution) -> "Domain":
+        """The ball inscribed in the bbox, centred in it.
+
+        Nodes on the bbox faces are left out: where the sphere touches a
+        face, rounding can put the touching node a hair inside it."""
         bbox = _as_bbox(bbox)
         shape = _resolution_tuple(resolution, len(bbox))
-        center = [(lo + hi) / 2.0 for lo, hi in bbox]
-        radius = min((hi - lo) / 2.0 for lo, hi in bbox)
         axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bbox, shape)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        r = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
-        return cls("ball", bbox, shape, r < radius)
+        nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                         axis=-1)
+        inside = _ball_distance(bbox, nodes).reshape(shape) > 0.0
+        return cls("ball", bbox, shape, inside & _off_faces(shape))
 
     @classmethod
     def from_mask(cls, bbox, inside_mask) -> "Domain":
@@ -201,27 +198,16 @@ class Domain:
         return ScalarField(self, self._sigma_values.copy())
 
     def _compute_sigma(self) -> np.ndarray:
-        if self.kind == "box":
-            grids = self.node_grids()
-            per_axis = [np.minimum(g - lo, hi - g) for g, (lo, hi) in zip(grids, self.bbox)]
-            out = per_axis[0]
-            for arr in per_axis[1:]:
-                out = np.minimum(out, arr)
-            return out
-        if self.kind == "ball":
-            center = (self.lo + self.hi) / 2.0
-            radius = min((hi - lo) / 2.0 for lo, hi in self.bbox)
-            r = np.sqrt(sum((g - c) ** 2 for g, c in zip(self.node_grids(), center)))
-            return radius - r
-        return self._mask_sigma()
-
-    def _mask_sigma(self) -> np.ndarray:
-        if np.prod(self.shape) <= EDT_NODE_LIMIT:
-            nodes = self.node_coords(np.ones(self.shape, dtype=bool))
-            dist = _nearest_distance(self._boundary_tree(), nodes).reshape(self.shape)
-        else:
+        if self.kind == "mask" and np.prod(self.shape) > EDT_NODE_LIMIT:
             dist = self._mask_sigma_edt()
-        return np.where(self.inside_mask, dist, -dist)
+        else:
+            dist = self.sigma_at(self.node_coords(np.ones(self.shape, dtype=bool)))
+            dist = dist.reshape(self.shape)
+        if self.kind == "mask":
+            return np.where(self.inside_mask, dist, -dist)
+        # box and ball distances are signed; the bbox-face nodes a ball
+        # leaves out lie on its sphere
+        return np.where(self.inside_mask, dist, np.minimum(dist, 0.0))
 
     def _boundary_tree(self) -> cKDTree:
         if self._face_tree is None:
@@ -277,9 +263,7 @@ class Domain:
             per_axis = np.minimum(points - self.lo, self.hi - points)
             return per_axis.min(axis=1)
         if self.kind == "ball":
-            center = (self.lo + self.hi) / 2.0
-            radius = min((hi - lo) / 2.0 for lo, hi in self.bbox)
-            return radius - np.sqrt(((points - center) ** 2).sum(axis=1))
+            return _ball_distance(self.bbox, points)
         return _nearest_distance(self._boundary_tree(), points)
 
     def delta_coords(self) -> np.ndarray | None:
@@ -326,6 +310,21 @@ class Domain:
             corner_vals = [v0 + t * (v1 - v0)
                            for v0, v1 in zip(corner_vals[0::2], corner_vals[1::2])]
         return corner_vals[0]
+
+
+def _off_faces(shape: tuple[int, ...]) -> np.ndarray:
+    """Mask of the grid nodes that lie on no bbox face."""
+    inside = np.zeros(shape, dtype=bool)
+    inside[tuple(slice(1, -1) for _ in shape)] = True
+    return inside
+
+
+def _ball_distance(bbox, points: np.ndarray) -> np.ndarray:
+    """Signed distance from (M, N) points to the sphere of the ball
+    inscribed in ``bbox``; positive inside."""
+    center = np.array([(lo + hi) / 2.0 for lo, hi in bbox])
+    radius = min((hi - lo) / 2.0 for lo, hi in bbox)
+    return radius - np.sqrt(((points - center) ** 2).sum(axis=1))
 
 
 def _nearest_distance(tree: cKDTree, points: np.ndarray) -> np.ndarray:
@@ -496,12 +495,20 @@ def read_field_csv(path, domain: Domain | None = None) -> ScalarField:
     return ScalarField(domain, values.reshape(shape))
 
 
+def _json_spec(spec: str) -> dict:
+    """A JSON spec given inline or as the path of a file holding it."""
+    if spec.lstrip().startswith("{"):
+        return json.loads(spec)
+    with open(spec) as fh:
+        return json.load(fh)
+
+
 def domain_from_json(spec, base_dir=".") -> Domain:
     """Build a domain from its JSON spec (string, path, or dict)."""
     import os
 
     if isinstance(spec, str):
-        spec = json.loads(spec) if spec.lstrip().startswith("{") else json.load(open(spec))
+        spec = _json_spec(spec)
     kind = spec.get("kind", "box")
     bbox = [tuple(b) for b in spec["bbox"]]
     resolution = spec["resolution"]

@@ -86,16 +86,6 @@ class Kernel:
         """Largest |z_k| over the retained quadrature nodes (< 1)."""
         return float(np.sqrt((self.nodes ** 2).sum(axis=1)).max())
 
-    def rho(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return profile_value(self.profile, (points ** 2).sum(axis=1), self.n)
-
-    def spec(self) -> dict:
-        out = {"profile": self.profile, "order": self.order}
-        if self.n is not None:
-            out["n"] = self.n
-        return out
-
 
 def make_kernel(profile: str, dim: int, order: int, n: int | None = None) -> Kernel:
     """Midpoint-rule kernel on the symmetric lattice of spacing 2/order.

@@ -8,11 +8,14 @@ from mollikit.analysis import (InvariantViolation, constant_step_probe,
                                f0_l1_tail, field_difference, l1_operator_norm,
                                l1_operator_norm_report, norm, norm_by_token,
                                tf0_closed, tf0_quadrature, trace_check,
-                               weak_l1_check, _column_mass)
+                               weak_l1_check, _column_mass,
+                               _scaled_quadratic_setup)
 from mollikit.eta import build_whitney_eta, quadratic_eta
 from mollikit.grid import Domain, ScalarField, gradient_central
 from mollikit.kernels import make_kernel
 from mollikit.mollify import MollifierConfig, modified_config, mollify
+
+from column_mass_oracle import column_mass as oracle_column_mass
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,63 @@ def test_more_probes_never_decrease_estimate(line, kernel1d, quad_prof):
     m_few = _column_mass(line, quad_prof.values, 1, kernel1d, few, step[::64]).max()
     m_many = _column_mass(line, quad_prof.values, 1, kernel1d, many, step[::16]).max()
     assert m_many >= m_few
+
+
+_COLUMN_GRIDS = {1: (129, 32, 8), 2: (49, 12, 4), 3: (25, 6, 2)}  # nodes, order, refine
+
+
+def _column_mass_setups(kind, dim, profile):
+    """The raw and the rescaled (domain, eta, kernel, probes, refine) of a
+    quadratic step, probes being seeded inside nodes plus the bbox corner."""
+    res, order, refine = _COLUMN_GRIDS[dim]
+    bbox = [(0.0, 1.6)] * dim
+    if kind == "box":
+        dom = Domain.box(bbox, res)
+    elif kind == "ball":
+        dom = Domain.ball(bbox, res)
+    else:
+        disk = Domain.ball([(0.0, 1.4)] * dim, res).inside_mask
+        dom = Domain.from_mask(bbox, disk)
+    kernel = make_kernel(profile, dim, order, 3 if profile == "plateau" else None)
+    cfg = MollifierConfig(kernel, quadratic_eta(dom, 0.1), n=1)
+    coords = dom.node_coords(dom.inside_mask)
+    pick = np.random.default_rng(dim).choice(len(coords), min(len(coords), 120),
+                                             replace=False)
+    dom2, eta2, scale = _scaled_quadratic_setup(cfg)
+    for d, eta, factor in ((dom, cfg.eta.values, 1.0), (dom2, eta2, scale)):
+        probes = np.concatenate([coords[pick] * factor, d.lo[None, :]])
+        yield d, eta, kernel, probes, refine
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "mask"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("profile", ["bump", "box", "plateau"])
+def test_column_mass_matches_brute_force_oracle(kind, dim, profile):
+    """The scatter sum against a per-probe sum over every lattice point in
+    lattice order: the terms are the same, only the order of summation
+    differs."""
+    smoothed = 0
+    for dom, eta, kernel, probes, refine in _column_mass_setups(kind, dim, profile):
+        for n in (1, 4):
+            steps = dom.interpolate(eta, probes) / n
+            steps[-1] = dom.h  # the corner probe: resolved, but no ball reaches it
+            got = _column_mass(dom, eta, n, kernel, probes, steps, refine)
+            expect = oracle_column_mass(dom, eta, n, kernel, probes, steps, refine)
+            assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
+            assert got[-1] == 0.0
+            assert (steps < dom.h).any() and (got[steps < dom.h] >= 1.0).all()
+            smoothed += int(((got > 0.0) & (steps >= dom.h)).sum())
+    assert smoothed > 0
+
+
+def test_column_mass_of_a_probe_alone_equals_its_batch_value():
+    dom, eta, kernel, probes, refine = next(_column_mass_setups("mask", 2, "bump"))
+    steps = dom.interpolate(eta, probes)
+    batch = _column_mass(dom, eta, 1, kernel, probes, steps, refine)
+    assert (batch[steps >= dom.h] > 0.0).sum() >= 10
+    for k in range(0, len(probes), 7):
+        alone = _column_mass(dom, eta, 1, kernel, probes[k:k + 1], steps[k:k + 1], refine)
+        assert alone[0] == batch[k]
 
 
 @pytest.mark.parametrize("profile,dim,order,n", [

@@ -43,6 +43,22 @@ def test_eta_subcommand(workdir):
     assert field.values.max() <= 0.25
 
 
+def test_eta_on_ball_with_non_dyadic_bbox(tmp_path):
+    # the face-centre nodes of this ball round to just inside its sphere;
+    # domain and kernel specs are read from files
+    domain = tmp_path / "domain.json"
+    domain.write_text('{"kind": "ball", "bbox": [[0.1, 0.7], [0.1, 0.7]], '
+                      '"resolution": [21, 21]}')
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text('{"profile": "bump", "order": 16}')
+    out = tmp_path / "eta.csv"
+    res = run_cli("eta", "--builder", "whitney", "--domain", str(domain),
+                  "--kernel", str(kernel), "--out", str(out),
+                  "--report", str(tmp_path / "eta.json"), "--no-timestamp")
+    assert res.returncode == 0, res.stderr
+    assert read_field_csv(out).values.max() > 0.0
+
+
 def test_mollify_subcommand(workdir):
     out = workdir / "tf.csv"
     rep = workdir / "tf.json"

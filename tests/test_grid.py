@@ -7,7 +7,8 @@ from mollikit.grid import (Domain, ScalarField, boundary_shell, distance_field,
                            domain_from_json, gradient_central, read_field_csv,
                            write_field_csv)
 
-from distance_oracle import mask_sigma, nearest_distance
+from distance_oracle import mask_sigma, nearest_distance, node_sigma
+from distance_oracle import sigma_at as oracle_sigma_at
 
 
 def test_box_sigma_1d_node_values():
@@ -89,6 +90,17 @@ def test_ball_domain_sigma_closed_form():
     assert (sig[dom.inside_mask] > 0).all()
 
 
+def test_ball_on_non_dyadic_bbox_leaves_its_face_nodes_out():
+    dom = Domain.ball([(0.1, 0.7)] * 2, 21)
+    assert not dom.inside_mask[0].any() and not dom.inside_mask[:, 0].any()
+    sigma = dom.sigma().values
+    assert (sigma[~dom.inside_mask] <= 0.0).all()
+    assert (sigma[dom.inside_mask] > 0.0).all()
+    # the face-centre node lies on the sphere
+    assert sigma[0, 10] == 0.0 and dom.sigma_at(dom.node_coords(
+        np.ones(dom.shape, dtype=bool))).reshape(dom.shape)[0, 10] > 0.0
+
+
 def test_mask_sigma_matches_offset_box_and_edt_agrees():
     box = Domain.box([(0.0, 1.0)], 65)
     mask = Domain.from_mask([(0.0, 1.0)], box.inside_mask)
@@ -129,25 +141,31 @@ def _random_mask(rng, shape):
     ([(0.1, 0.7), (0.0, 1.9), (-1.0, 0.3)], (13, 19, 11)),
 ])
 def test_mask_distances_bitwise_equal_to_all_pairs_oracle(bbox, shape):
+    """Mask distances against the all-pairs oracle, and box and ball
+    distances against their closed forms, exact to the sign bit."""
     rng = np.random.default_rng(len(shape) * 100 + shape[0])
     inside = _random_mask(rng, shape)
-    dom = Domain.from_mask(bbox, inside)
-    nodes = dom.node_coords(np.ones(shape, dtype=bool))
-    mids = dom.boundary_face_midpoints()
-    brute = nearest_distance(nodes, mids).reshape(shape)
+    for dom in (Domain.from_mask(bbox, inside), Domain.box(bbox, shape),
+                Domain.ball(bbox, shape)):
+        nodes = dom.node_coords(np.ones(shape, dtype=bool))
+        sigma = dom.sigma().values
+        expect = node_sigma(dom)
+        assert np.array_equal(sigma, expect), dom.kind
+        assert np.array_equal(np.signbit(sigma), np.signbit(expect)), dom.kind
+        # off-grid queries, and the nodes themselves, through sigma_at
+        pts = rng.uniform(dom.lo, dom.hi, size=(2000, len(shape)))
+        assert np.array_equal(dom.sigma_at(pts), oracle_sigma_at(dom, pts))
+        at_nodes = dom.sigma_at(nodes).reshape(shape)
+        if dom.kind == "mask":
+            assert np.array_equal(at_nodes, np.abs(sigma))
+        else:
+            assert np.array_equal(at_nodes[dom.inside_mask], sigma[dom.inside_mask])
 
-    sigma = dom.sigma().values
-    assert np.array_equal(sigma, np.where(inside, brute, -brute))
-    # off-grid queries, and the nodes themselves, through sigma_at
-    pts = rng.uniform(dom.lo, dom.hi, size=(2000, len(shape)))
-    assert np.array_equal(dom.sigma_at(pts), nearest_distance(pts, mids))
-    assert np.array_equal(dom.sigma_at(nodes).reshape(shape), np.abs(sigma))
-
-    delta = inside & (rng.random(shape) < 0.05)
-    delta.flat[np.flatnonzero(inside)[0]] = True
-    theta = distance_field(dom.with_delta(delta), "theta").values
-    d_delta = nearest_distance(nodes, dom.node_coords(delta)).reshape(shape)
-    assert np.array_equal(theta, np.minimum(sigma, d_delta))
+        delta = dom.inside_mask & (rng.random(shape) < 0.05)
+        delta.flat[np.flatnonzero(dom.inside_mask)[0]] = True
+        theta = distance_field(dom.with_delta(delta), "theta").values
+        d_delta = nearest_distance(nodes, dom.node_coords(delta)).reshape(shape)
+        assert np.array_equal(theta, np.minimum(sigma, d_delta))
 
 
 def test_with_delta_and_gamma_keep_the_boundary_distances():
