@@ -207,8 +207,9 @@ def _scaled_quadratic_setup(cfg: MollifierConfig):
 
 def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
                  probes: np.ndarray, probe_steps: np.ndarray,
-                 refine: int = 4) -> np.ndarray:
-    """Riemann sum of C(x) rho((x-y)/s(x)) over {x : |x-y| < s(x)} per probe.
+                 refine: int = 4) -> tuple[np.ndarray, int]:
+    """Riemann sum of C(x) rho((x-y)/s(x)) over {x : |x-y| < s(x)} per probe,
+    and the number of lattice points with a resolved step that enter it.
 
     Integrates on a midpoint lattice ``refine`` times finer than the grid
     (the integrand varies on the scale of the step, which can sit near one
@@ -231,8 +232,9 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     s = dom.interpolate(eta_values, pts) / n
     keep = s >= h
-    if not keep.any():
-        return out
+    resolved = int(np.count_nonzero(keep))
+    if not resolved:
+        return out, 0
     pts, s = pts[keep], s[keep]
     c = kernel.m_rho / s ** dom.dim
     cellvol = dom.cell_volume / refine ** dom.dim
@@ -253,7 +255,7 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
         r2 = d2[m] / (sx[i] * sx[i])
         w = c[start + i] * profile_value(kernel.profile, r2, kernel.n)
         total += np.bincount(j, weights=w, minlength=len(probes))
-    return out + cellvol * total
+    return out + cellvol * total, resolved
 
 
 def l1_operator_norm(cfg: MollifierConfig, probe_count: int = 100,
@@ -292,8 +294,8 @@ def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
     probe_idx = np.unique(np.concatenate([np.flatnonzero(shell), interior_idx]))
     probes = coords[probe_idx]
 
-    per_probe = _column_mass(dom2, eta2, nval, cfg.kernel, probes,
-                             step[probe_idx], refine)
+    per_probe, resolved = _column_mass(dom2, eta2, nval, cfg.kernel, probes,
+                                       step[probe_idx], refine)
     estimate = float(per_probe.max())
     bound = cfg.kernel.m_rho * (omega + omega * dim * math.log(2.0 / kappa))
     if estimate > bound * 1.1:
@@ -301,9 +303,9 @@ def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
             f"L1 operator-norm estimate {estimate} exceeds bound {bound} by >10%")
 
     raw_step = cfg.step_inside()
-    raw = _column_mass(cfg.domain, cfg.eta.values, nval, cfg.kernel,
-                       cfg.domain.node_coords(cfg.domain.inside_mask)[probe_idx],
-                       raw_step[probe_idx], refine)
+    raw, _ = _column_mass(cfg.domain, cfg.eta.values, nval, cfg.kernel,
+                          cfg.domain.node_coords(cfg.domain.inside_mask)[probe_idx],
+                          raw_step[probe_idx], refine)
     return {
         "estimate": estimate,
         "bound": bound,
@@ -312,6 +314,7 @@ def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
         "kappa": kappa,
         "n": nval,
         "probes": int(len(probes)),
+        "resolved_points": resolved,
         "limit_bound": cfg.kernel.m_rho * omega * (1.0 + dim * math.log(1.0 / kappa)),
     }
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import variable_step_average
+from ._sampling import GridSample, variable_step_average
 from .grid import Domain, ScalarField, distance_field, gradient_central
 from .kernels import Kernel, make_kernel
 
@@ -114,13 +114,10 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
     smoothed = d.copy()
     for _ in range(2):
         src = smoothed
-
-        def sample(p, _src=src):
-            return domain.interpolate(_src, p)
-
         smoothed = smoothed.copy()
         smoothed[domain.inside_mask] = variable_step_average(
-            pts, step, kernel, [sample], [src[domain.inside_mask]], domain.h).values[0]
+            pts, step, kernel, [GridSample(domain, src)], [src[domain.inside_mask]],
+            domain.h).values[0]
 
     raw = np.minimum(smoothed, d * CLAMP)
     raw = np.maximum(raw, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import variable_step_max
+from ._sampling import GridSample, variable_step_max
 from .analysis import InvariantViolation, StudyReport, field_difference, norm_by_token
 from .eta import EtaProfile
 from .grid import Domain, ScalarField, distance_field, gradient_central
@@ -101,11 +101,8 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
     pts = dom.node_coords(dom.inside_mask)
     step = eta.values[dom.inside_mask] / n
     alpha_in = spec.alpha.values[dom.inside_mask]
-
-    def sample(p):
-        return dom.interpolate(spec.alpha.values, p)
-
-    best = variable_step_max(pts, step, kernel, sample, alpha_in, threads=threads)
+    best = variable_step_max(pts, step, kernel, GridSample(dom, spec.alpha.values),
+                             alpha_in, threads=threads)
     m = np.ones(dom.shape)
     ratios = np.ones(len(pts))
     free = ~theta[dom.inside_mask]

@@ -15,12 +15,23 @@ domain and kept.  Above ``EDT_NODE_LIMIT`` nodes, sigma at the nodes comes
 from a Euclidean distance transform on the doubled grid instead, because the
 tree slows down there; that transform is exact up to rounding but does not
 match the all-pairs bits on every spacing, so it serves only those grids.
+
+Fields are read between nodes by multilinear interpolation, in two halves
+that the sampling sweep shares: ``Domain._axis_cells`` turns one axis
+coordinate into its cell's flat offset and the fraction ``t - i0`` with
+``t = (p - lo) / h_a`` (after the bbox check, or the clamp onto the bbox),
+and ``Domain._blend`` gathers the 2^N cell corners of a stack of fields by
+flat index and reduces them as ``v0 + t (v1 - v0)``, last axis first.  The
+contract is exactness, not closeness: a value depends only on the point and
+the node array, never on which other points or fields are sampled with it,
+and constant data interpolates exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
@@ -285,31 +296,64 @@ class Domain:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dim {points.shape[1]}, domain has {self.dim}")
-        if clamp:
-            points = np.clip(points, self.lo, self.hi)
-        else:
-            bad = (points < self.lo) | (points > self.hi)
-            if bad.any():
-                i = int(np.argwhere(bad.any(axis=1))[0][0])
-                raise ValueError(
-                    f"evaluation outside the closed domain bbox at point {points[i]}")
-        idx = []
-        frac = []
+        if np.shape(values) != self.shape:
+            raise ValueError(f"values have shape {np.shape(values)}, grid has {self.shape}")
+        base, fracs, outside = 0, [], False
         for axis in range(self.dim):
-            t = (points[:, axis] - self.bbox[axis][0]) / self.spacing[axis]
-            i0 = np.clip(np.floor(t).astype(np.int64), 0, self.shape[axis] - 2)
-            idx.append(i0)
-            frac.append(t - i0)
-        corner_vals = []
-        for corner in product((0, 1), repeat=self.dim):
-            sel = tuple(idx[a] + corner[a] for a in range(self.dim))
-            corner_vals.append(values[sel])
-        # Reduce per axis, last axis first (matches corner enumeration order).
-        for axis in range(self.dim - 1, -1, -1):
-            t = frac[axis]
-            corner_vals = [v0 + t * (v1 - v0)
-                           for v0, v1 in zip(corner_vals[0::2], corner_vals[1::2])]
-        return corner_vals[0]
+            offset, frac, out = self._axis_cells(axis, points[:, axis], clamp)
+            base = base + offset
+            fracs.append(frac)
+            outside = outside | out
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"evaluation outside the closed domain bbox at point {points[i]}")
+        return self._blend(np.reshape(np.asarray(values, dtype=float), (1, -1)), base, fracs)[0]
+
+    def _axis_cells(self, axis: int, coords: np.ndarray, clamp: bool):
+        """The first half of ``interpolate``, for one axis.
+
+        Returns the flat offset of each coordinate's lower cell corner along
+        ``axis``, its fraction ``t - i0`` across the cell, and the mask of
+        coordinates outside the closed bbox (all False when ``clamp`` pulls
+        them onto it instead).
+        """
+        lo, hi = self.bbox[axis]
+        if clamp:
+            coords = np.clip(coords, lo, hi)
+            outside = np.zeros(coords.shape, dtype=bool)
+        else:
+            outside = (coords < lo) | (coords > hi)
+        t = (coords - lo) / self.spacing[axis]
+        i0 = np.clip(np.floor(t).astype(np.int64), 0, self.shape[axis] - 2)
+        return i0 * self._strides[axis], t - i0, outside
+
+    def _blend(self, stack: np.ndarray, base: np.ndarray, fracs) -> np.ndarray:
+        """The second half of ``interpolate``: gather the 2^N cell corners
+        of each row of the (F, nodes) flat value ``stack`` at the flat lower
+        corners ``base`` and reduce them per axis, last axis first (the
+        corner order), into (F, M) values.
+
+        Each step is ``v0 + t * (v1 - v0)``, worked in place in the freshly
+        gathered ``v1``."""
+        vals = [stack.take(base + c, axis=1) for c in self._corners]
+        for t in reversed(fracs):
+            for v0, v1 in zip(vals[0::2], vals[1::2]):
+                v1 -= v0
+                v1 *= t
+                v1 += v0
+            vals = vals[1::2]
+        return vals[0]
+
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        """Flat-index stride of each axis of a C-ordered node array."""
+        return tuple(int(np.prod(self.shape[a + 1:])) for a in range(self.dim))
+
+    @cached_property
+    def _corners(self) -> list[int]:
+        """Flat offsets of the 2^N cell corners, the last axis fastest."""
+        return [int(np.dot(c, self._strides)) for c in product((0, 1), repeat=self.dim)]
 
 
 def _off_faces(shape: tuple[int, ...]) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import variable_step_average, weighted_z_dot
+from ._sampling import GridSample, variable_step_average, weighted_z_dot
 from .eta import EtaProfile, _max_gradient, bv_step_eta
 from .grid import Domain, ScalarField, VectorField, gradient_central
 from .kernels import Kernel, make_kernel
@@ -84,22 +84,11 @@ class MollifierConfig:
 
 
 def _sample_closure(f, clamp: bool):
-    """Point evaluator for the input: interpolates fields (pulling points
-    onto the bounding box when ``clamp``), passes callables."""
+    """Point evaluator for the input: a grid sample of fields (pulling
+    points onto the bounding box when ``clamp``), callables as given."""
     if callable(f):
         return lambda p: np.asarray(f(p), dtype=float)
-    values = f.values
-    domain = f.domain
-
-    def sample(p):
-        try:
-            return domain.interpolate(values, p, clamp=clamp)
-        except ValueError as err:
-            raise ValueError(
-                f"mollify sampled outside the closed domain (step invariant "
-                f"violated): {err}") from err
-
-    return sample
+    return GridSample(f.domain, f.values, clamp)
 
 
 def mollify(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> ScalarField:
@@ -125,6 +114,8 @@ def mollify_with_report(f: ScalarField, cfg: MollifierConfig,
         "sup_ratio": sup_tf / sup_f if sup_f > 0 else 0.0,
         "identity_nodes": int((step == 0.0).sum()),
         "flagged_subgrid_nodes": int(((step > 0.0) & ~sweep.active).sum()),
+        "hull_clamped_nodes": int(np.count_nonzero(sweep.clamped[0])),
+        "max_hull_correction": float(np.abs(sweep.clamped[0]).max()),
         "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
     return out, report

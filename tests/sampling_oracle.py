@@ -6,9 +6,12 @@ library did before all of them were folded into ``mollikit._sampling``:
 the weighted average with its hull clamp, the mirror-pair z-dot sum (which
 samples each gradient component again), the ball max, and the oscillation
 loop of the boundary-trace check.  The arithmetic per (point, node) is the
-same, so the library must agree with these bit for bit.
+same, so the library must agree with these bit for bit.  Grid fields are
+sampled through ``interpolate`` below, the tuple-gather interpolation that
+``Domain.interpolate`` replaced with its flat gather.
 """
 
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,10 +101,40 @@ def variable_step_max(points, step, kernel, sample_fn, identity_values, threads=
     return out
 
 
+def interpolate(domain, values, points, clamp=False):
+    """Multilinear interpolation gathering the 2^N corners with one tuple
+    index per corner and per call."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if clamp:
+        points = np.clip(points, domain.lo, domain.hi)
+    else:
+        bad = (points < domain.lo) | (points > domain.hi)
+        if bad.any():
+            i = int(np.argwhere(bad.any(axis=1))[0][0])
+            raise ValueError(
+                f"evaluation outside the closed domain bbox at point {points[i]}")
+    idx = []
+    frac = []
+    for axis in range(domain.dim):
+        t = (points[:, axis] - domain.bbox[axis][0]) / domain.spacing[axis]
+        i0 = np.clip(np.floor(t).astype(np.int64), 0, domain.shape[axis] - 2)
+        idx.append(i0)
+        frac.append(t - i0)
+    corner_vals = []
+    for corner in product((0, 1), repeat=domain.dim):
+        sel = tuple(idx[a] + corner[a] for a in range(domain.dim))
+        corner_vals.append(values[sel])
+    for axis in range(domain.dim - 1, -1, -1):
+        t = frac[axis]
+        corner_vals = [v0 + t * (v1 - v0)
+                       for v0, v1 in zip(corner_vals[0::2], corner_vals[1::2])]
+    return corner_vals[0]
+
+
 def _sample(f, clamp):
     if callable(f):
         return lambda p: np.asarray(f(p), dtype=float)
-    return lambda p: f.domain.interpolate(f.values, p, clamp=clamp)
+    return lambda p: interpolate(f.domain, f.values, p, clamp=clamp)
 
 
 # ---------------------------------------------------------------------- #
@@ -196,7 +229,7 @@ def trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=1):
         s = step[idx][:, None]
         best = np.zeros(len(idx))
         for k in range(len(cfg.kernel.nodes)):
-            vals = f.at(x - s * cfg.kernel.nodes[k])
+            vals = interpolate(dom, f.values, x - s * cfg.kernel.nodes[k])
             np.maximum(best, np.abs(vals - f_in[idx]), out=best)
         osc[idx] = best
     dev = np.abs(tf[dom.inside_mask] - f_in)
@@ -244,7 +277,7 @@ def convergence_factor(spec, eta, n, kernel, threads=1):
     pts = dom.node_coords(dom.inside_mask)
     alpha_in = spec.alpha.values[dom.inside_mask]
     best = variable_step_max(pts, eta.values[dom.inside_mask] / n, kernel,
-                             lambda p: dom.interpolate(spec.alpha.values, p),
+                             lambda p: interpolate(dom, spec.alpha.values, p),
                              alpha_in, threads)
     m = np.ones(dom.shape)
     ratios = np.ones(len(pts))

@@ -141,6 +141,19 @@ def test_operator_norm_family_estimates(line, kernel1d, quad_prof):
     assert reports[0]["raw_estimate"] > 0
 
 
+@pytest.mark.parametrize("dim,res,order,n,resolved", [
+    (2, 49, 12, 4, False), (3, 25, 6, 4, False), (2, 96, 24, None, True)])
+def test_operator_norm_report_counts_resolved_points(dim, res, order, n, resolved):
+    # with no resolved lattice point the estimate is the identity's 1.0,
+    # whatever the operator does on the raw grid
+    dom = Domain.box([(0.0, 1.0)] * dim, res)
+    cfg = MollifierConfig(make_kernel("bump", dim, order), quadratic_eta(dom, 0.1), n=n)
+    rep = l1_operator_norm_report(cfg)
+    assert (rep["resolved_points"] > 0) == resolved
+    if not resolved:
+        assert rep["estimate"] == 1.0
+
+
 def test_operator_norm_requires_quadratic(line, kernel1d):
     prof = build_whitney_eta(line, epsilon=0.25)
     with pytest.raises(ValueError, match="quadratic"):
@@ -153,8 +166,8 @@ def test_more_probes_never_decrease_estimate(line, kernel1d, quad_prof):
     coords = line.node_coords(line.inside_mask)
     few = coords[::64]
     many = coords[::16]
-    m_few = _column_mass(line, quad_prof.values, 1, kernel1d, few, step[::64]).max()
-    m_many = _column_mass(line, quad_prof.values, 1, kernel1d, many, step[::16]).max()
+    m_few = _column_mass(line, quad_prof.values, 1, kernel1d, few, step[::64])[0].max()
+    m_many = _column_mass(line, quad_prof.values, 1, kernel1d, many, step[::16])[0].max()
     assert m_many >= m_few
 
 
@@ -196,7 +209,7 @@ def test_column_mass_matches_brute_force_oracle(kind, dim, profile):
         for n in (1, 4):
             steps = dom.interpolate(eta, probes) / n
             steps[-1] = dom.h  # the corner probe: resolved, but no ball reaches it
-            got = _column_mass(dom, eta, n, kernel, probes, steps, refine)
+            got, _ = _column_mass(dom, eta, n, kernel, probes, steps, refine)
             expect = oracle_column_mass(dom, eta, n, kernel, probes, steps, refine)
             assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
             assert got[-1] == 0.0
@@ -208,10 +221,10 @@ def test_column_mass_matches_brute_force_oracle(kind, dim, profile):
 def test_column_mass_of_a_probe_alone_equals_its_batch_value():
     dom, eta, kernel, probes, refine = next(_column_mass_setups("mask", 2, "bump"))
     steps = dom.interpolate(eta, probes)
-    batch = _column_mass(dom, eta, 1, kernel, probes, steps, refine)
+    batch, _ = _column_mass(dom, eta, 1, kernel, probes, steps, refine)
     assert (batch[steps >= dom.h] > 0.0).sum() >= 10
     for k in range(0, len(probes), 7):
-        alone = _column_mass(dom, eta, 1, kernel, probes[k:k + 1], steps[k:k + 1], refine)
+        alone, _ = _column_mass(dom, eta, 1, kernel, probes[k:k + 1], steps[k:k + 1], refine)
         assert alone[0] == batch[k]
 
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from mollikit import _sampling
 from mollikit._sampling import _chunks
 from mollikit.analysis import tf0_closed
 from mollikit.eta import EtaProfile, build_whitney_eta, quadratic_eta
@@ -164,9 +165,23 @@ def test_report_fields(quad_cfg):
     f = ScalarField.from_function(quad_cfg.domain, lambda x: np.sin(3 * x))
     tf, report = mollify_with_report(f, quad_cfg)
     assert set(report) == {"sup_ratio", "identity_nodes", "flagged_subgrid_nodes",
-                           "runtime_ms"}
+                           "hull_clamped_nodes", "max_hull_correction", "runtime_ms"}
     assert report["sup_ratio"] <= 1.0
     assert report["flagged_subgrid_nodes"] > 0  # quadratic step dips below h
+
+
+def test_report_counts_hull_clamps_of_a_constant_field(square_cfg):
+    # the kernel weights sum to 1 only up to round-off, so every smoothed
+    # node of a constant field needs the clamp back to the constant
+    dom = square_cfg.domain
+    tf, report = mollify_with_report(ScalarField.constant(dom, 0.7), square_cfg)
+    active = int((square_cfg.step_inside() >= dom.h).sum())
+    assert (tf.values == 0.7).all()
+    assert report["hull_clamped_nodes"] == active > 0
+    assert 0.0 < report["max_hull_correction"] < 1e-13
+    f = ScalarField.from_function(dom, lambda x, y: np.sin(5 * x) * np.cos(3 * y))
+    _, report = mollify_with_report(f, square_cfg)
+    assert report["hull_clamped_nodes"] < active
 
 
 def test_mollify_leaves_the_config_unchanged(quad_cfg):
@@ -179,26 +194,40 @@ def test_mollify_leaves_the_config_unchanged(quad_cfg):
 def test_gradient_samples_each_component_once(square_cfg, monkeypatch):
     dom = square_cfg.domain
     sampled = []
-    interpolate = Domain.interpolate
+    blend = Domain._blend
 
-    def counting(self, values, points, clamp=False):
-        sampled.append(len(np.atleast_2d(points)))
-        return interpolate(self, values, points, clamp)
+    def counting(self, stack, base, fracs):
+        sampled.append(stack.shape[0] * len(base))  # fields x points
+        return blend(self, stack, base, fracs)
 
     f = ScalarField.from_function(dom, lambda x, y: np.sin(3 * x) * y)
     grad_f = gradient_central(f)
-    monkeypatch.setattr(Domain, "interpolate", counting)
+    monkeypatch.setattr(Domain, "_blend", counting)
     mollify_gradient(f, grad_f, square_cfg)
     active = int((square_cfg.step_inside() >= dom.h).sum())
     assert sum(sampled) == dom.dim * len(square_cfg.kernel.nodes) * active
 
 
-def test_thread_count_does_not_change_bits(quad_cfg):
+def test_thread_count_does_not_change_bits(quad_cfg, monkeypatch):
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)  # 511 points: several slices
     rng = np.random.default_rng(9)
     f = ScalarField(quad_cfg.domain, rng.standard_normal(quad_cfg.domain.shape))
     a = mollify(f, quad_cfg, threads=1).values
     b = mollify(f, quad_cfg, threads=4).values
     assert np.array_equal(a, b)
+
+
+def test_worker_slices_are_whole_sweep_blocks(monkeypatch):
+    # only slices are made here; no thread is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    block = _sampling._BLOCK
+    for m in (1, block, 2 * block - 1):
+        assert _chunks(m, 8) == [slice(0, m)]
+    for m, threads, count in ((2 * block, 2, 2), (5 * block + 3, 4, 3), (100 * block, 8, 8)):
+        slices = _chunks(m, threads)
+        assert len(slices) == count
+        assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+        assert all(sl.start % block == 0 for sl in slices) and slices[-1].stop == m
 
 
 @pytest.mark.parametrize("threads", [3, 1000, 10**6])

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import sampling_oracle as oracle
+from mollikit import _sampling
 from mollikit import eta as eta_mod
+from mollikit._sampling import GridSample, variable_step_average
 from mollikit.analysis import trace_check
 from mollikit.eta import build_whitney_eta, bv_step_eta, quadratic_eta, regularized_distance
 from mollikit.feasible import ConstraintSpec, convergence_factor
@@ -64,7 +66,9 @@ def setup(request):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
-def test_operators_bitwise_equal_to_reference_loops(setup, parity, threads):
+def test_operators_bitwise_equal_to_reference_loops(setup, parity, threads, monkeypatch):
+    if threads > 1:  # small blocks, so that these grids make several slices and blocks
+        monkeypatch.setattr(_sampling, "_BLOCK", 64)
     dom, f, eta0, eta1 = setup["dom"], setup["f"], setup["eta0"], setup["eta1"]
     kernel = make_kernel("bump", dom.dim, ORDERS[dom.dim][parity])
     assert (kernel.paired_count < len(kernel.nodes)) == bool(parity)
@@ -118,3 +122,43 @@ def test_step_builders_bitwise_equal_to_reference_loops(setup, monkeypatch):
     want = build()
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.values, b.values) and a.grad_bound == b.grad_bound
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interpolate_bitwise_equal_to_tuple_gather(dim):
+    bbox = [(0.0, hi) for _, hi in BBOX[dim]]  # lo = 0.0, so that -0.0 is on the grid
+    dom = Domain.box(bbox, SHAPE[dim])
+    lo, hi = dom.lo, dom.hi
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal(dom.shape)
+    values.flat[::5] = 0.0
+    values.flat[1::5] = -0.0
+    nodes = dom.node_coords(np.ones(dom.shape, dtype=bool))
+    inner = lo + rng.random((500, dim)) * (hi - lo)
+    upper = inner.copy()  # on the upper face i0 clips to n - 2
+    face = rng.integers(dim, size=500)
+    upper[np.arange(500), face] = hi[face]
+    zeros = inner.copy()
+    zeros[::2, 0] = -0.0
+    zeros[1::2, 0] = 0.0
+    beyond = lo + (rng.random((500, dim)) * 1.6 - 0.3) * (hi - lo)
+    for pts, clamp in ((nodes, False), (inner, False), (upper, False), (zeros, False),
+                       (beyond, True), (nodes, True)):
+        got = dom.interpolate(values, pts, clamp=clamp)
+        want = oracle.interpolate(dom, values, pts, clamp=clamp)
+        assert got.tobytes() == want.tobytes()  # the sign of every zero too
+    with pytest.raises(ValueError, match="outside the closed domain bbox"):
+        dom.interpolate(values, beyond)
+
+
+def test_sweep_outside_the_bbox_names_the_node_and_point():
+    dom = _domain("box", 2)
+    kernel = make_kernel("bump", 2, 8)
+    pts = dom.node_coords()[:3]
+    step = np.full(3, 10.0)  # every node's sample leaves the bbox
+    point = pts[0] - step[0] * kernel.nodes[0]
+    with pytest.raises(ValueError, match="step invariant") as err:
+        variable_step_average(pts, step, kernel, [GridSample(dom, np.zeros(dom.shape))],
+                              [np.zeros(3)], dom.h)
+    assert f"kernel node k=0, z_k={kernel.nodes[0]}" in str(err.value)
+    assert f"at point {point}" in str(err.value)
