@@ -6,15 +6,18 @@ the mirror-pair z-dot sum.  The three public entries are thin views of it.
 Every reduction is per evaluation point, so output values do not depend on
 how the point axis is chunked into blocks or across worker threads.
 
-Grid fields (``GridSample``) are sampled without calling them: per block of
-points the sweep computes the axis half of ``Domain.interpolate`` once per
-distinct node coordinate on each axis, then each node adds its axes' flat
-offsets and blends one corner gather of the whole field stack.  This is the
-interpolation contract of ``grid``: every sample is bitwise the value
-``Domain.interpolate`` returns at ``points[i] - step[i] * nodes[k]``, because
-each axis coordinate is that same product and difference and the halves are
-the ones ``interpolate`` runs.  Other callables are called once per node on
-the block's shifted points.
+Every sample is taken in two halves: per block of points, an axis half runs
+once per distinct node coordinate on each axis, on ``x_a - s z_a``; then a
+combine half runs once per node on its axes' entries.  For grid fields
+(``GridSample``) these are ``Domain._axis_cells`` and, with the flat offsets
+summed, ``Domain._blend`` over the whole field stack; for box and ball
+distances (``SigmaSample``), ``Domain._sigma_axis`` and
+``Domain._sigma_combine``, the halves of ``interpolate`` and ``sigma_at``.
+Each coordinate is the product and difference of ``points[i] - step[i] *
+nodes[k]``, so every sample is bitwise what ``interpolate`` or ``sigma_at``
+returns there.  A plain callable (mask distances among them) has the
+coordinate as its axis half and is called once per node on the stacked
+coordinates.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .grid import Domain
 from .kernels import Kernel
 
 
-# Points per block of a grid-field sweep.  A block's cell tables hold
-# (distinct node coordinates per axis) x _BLOCK entries, so the block bounds
-# the sweep's memory; worker threads are handed whole blocks.
+# Points per block of a sweep.  A block's axis tables hold one axis-half
+# entry per distinct node coordinate per axis, each of _BLOCK points, so the
+# block bounds the sweep's memory; worker threads are handed whole blocks.
 _BLOCK = 4096
 
 
@@ -77,76 +80,79 @@ class GridSample:
         return self.domain.interpolate(self.values, p, clamp=self.clamp)
 
 
-def _grid_stack(sample_fns: Sequence[Callable]):
-    """The shared domain, the (F, nodes) value stack and the clamp flag when
-    every sample function is a ``GridSample`` of one grid; else None."""
+@dataclass(frozen=True, eq=False)
+class SigmaSample:
+    """``Domain.sigma_at`` as a sample function; a sweep takes box and ball
+    distances through their halves instead."""
+
+    domain: Domain
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        return self.domain.sigma_at(p)
+
+
+def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
+    """The two halves of a sweep's sample functions.  The axis half maps
+    ``(axis, coords)`` to an entry whose last item masks the coordinates
+    outside the closed bbox (None where none can be); the combine half maps
+    a node's entries, in axis order, to its (F, M) samples."""
     first = sample_fns[0]
-    if not all(isinstance(fn, GridSample) and fn.clamp == first.clamp
-               and fn.domain.shape == first.domain.shape
-               and fn.domain.bbox == first.domain.bbox for fn in sample_fns):
-        return None
-    stack = np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float)
-    return first.domain, stack, first.clamp
+    dom = getattr(first, "domain", None)
+    if all(isinstance(fn, GridSample) and fn.clamp == first.clamp
+           and (fn.domain.shape, fn.domain.bbox) == (dom.shape, dom.bbox) for fn in sample_fns):
+        stack = np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float)
+        return (lambda axis, c: dom._axis_cells(axis, c, first.clamp),
+                lambda cells: dom._blend(stack, sum([c[0] for c in cells]), [c[1] for c in cells]))
+    if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind != "mask":
+        return (lambda axis, c: (dom._sigma_axis(axis, c), None),
+                lambda terms: dom._sigma_combine([t for t, _ in terms])[None])
+    return (lambda axis, c: (c, None),
+            lambda coords: np.array([fn(np.column_stack([c for c, _ in coords]))
+                                     for fn in sample_fns], dtype=float))
 
 
 def _node_error(k: int, z: np.ndarray, err: str) -> ValueError:
     return ValueError(f"sampling failed at kernel node k={k}, z_k={z}: {err}")
 
 
-def _call_sampler(sample_fns, x, s, nodes):
-    """Per-node samples of callables: each is called on the shifted points."""
+def _block_sampler(halves, axis_values, x, s, nodes):
+    """Per-node samples of one block of points ``x`` with steps ``s``.
+
+    Each axis coordinate ``x_a - s z_a`` goes through the axis half once per
+    distinct ``z_a`` (see ``_axis_values``), so a node costs one combine of
+    its axes' entries.  A sample outside the closed bbox (possible only when
+    the step invariant is broken) raises before any node of the block is
+    sampled, naming the first such node and its point."""
+    axis_half, combine = halves
+    tables = [(which, [axis_half(axis, x[:, axis] - s * z) for z in values])
+              for axis, (values, which) in enumerate(axis_values)]
+    node_outside = np.any([np.array([out is not None and out.any() for *_, out in entries])[which]
+                           for which, entries in tables], axis=0)
+    if node_outside.any():
+        k = int(np.argmax(node_outside))
+        i = int(np.argmax(np.any([entries[which[k]][-1] for which, entries in tables], axis=0)))
+        raise _node_error(k, nodes[k], (
+            f"evaluation outside the closed domain bbox at point "
+            f"{x[i] - s[i] * nodes[k]} (step invariant violated)"))
+
     def sample(k: int) -> np.ndarray:
-        shifted = x - s[:, None] * nodes[k]
         try:
-            return np.array([fn(shifted) for fn in sample_fns], dtype=float)
+            return combine([entries[which[k]] for which, entries in tables])
         except ValueError as err:
             raise _node_error(k, nodes[k], str(err)) from err
 
     return sample
 
 
-def _grid_sampler(grid, axis_values, x, s, nodes):
-    """Per-node samples of a grid stack.
-
-    Each axis coordinate ``x_a - s z_a`` is turned into its cell offset and
-    fraction once per distinct ``z_a`` (``axis_values``: the distinct values
-    and each node's index into them), so a node costs the sum of its axes'
-    offsets and one corner gather of the stack.  A sample outside the closed
-    bbox (possible only when the step invariant is broken) raises before any
-    node of the block is sampled, naming the first such node and its point.
-    """
-    domain, stack, clamp = grid
-    tables = [(which, [domain._axis_cells(axis, x[:, axis] - s * z, clamp) for z in values])
-              for axis, (values, which) in enumerate(axis_values)]
-    node_outside = np.any([np.array([out.any() for *_, out in cells])[which]
-                           for which, cells in tables], axis=0)
-    if node_outside.any():
-        k = int(np.argmax(node_outside))
-        i = int(np.argmax(np.any([cells[which[k]][2] for which, cells in tables], axis=0)))
-        raise _node_error(k, nodes[k], (
-            f"evaluation outside the closed domain bbox at point "
-            f"{x[i] - s[i] * nodes[k]} (step invariant violated)"))
-
-    def sample(k: int) -> np.ndarray:
-        base = 0
-        fracs = []
-        for which, cells in tables:
-            offset, frac, _ = cells[which[k]]
-            base = base + offset
-            fracs.append(frac)
-        return domain._blend(stack, base, fracs)
-
-    return sample
-
-
-def _axis_values(nodes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _axis_values(nodes: np.ndarray) -> list[tuple[np.ndarray, list[int]]]:
     """Per axis, the distinct node coordinates and each node's index into
-    them; grouped by bit pattern, so +0.0 and -0.0 stay apart."""
+    them, as a list (cheaper than an array to index once per node); grouped
+    by bit pattern, so +0.0 and -0.0 stay apart."""
     out = []
     for axis in range(nodes.shape[1]):
         bits = np.ascontiguousarray(nodes[:, axis], dtype=float).view(np.int64)
         uniq, which = np.unique(bits, return_inverse=True)
-        out.append((uniq.view(float), which.reshape(-1)))
+        out.append((uniq.view(float), which.reshape(-1).tolist()))
     return out
 
 
@@ -169,17 +175,12 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
     lo = np.full((n_f, m), np.inf)
     hi = np.full((n_f, m), -np.inf)
     pairs = np.zeros(m)
-    grid = _grid_stack(sample_fns)
-    axis_values = _axis_values(nodes) if grid else None
+    halves = _halves(sample_fns)
+    axis_values = _axis_values(nodes)
 
     def block(b: slice) -> None:
         idx = act_idx[b]
-        x = points[idx]
-        s = step[idx]
-        if grid:
-            sample = _grid_sampler(grid, axis_values, x, s, nodes)
-        else:
-            sample = _call_sampler(sample_fns, x, s, nodes)
+        sample = _block_sampler(halves, axis_values, points[idx], step[idx], nodes)
         acc, low, high, pr = total[:, b], lo[:, b], hi[:, b], pairs[b]
         for k, z in enumerate(nodes):
             vals = sample(k)
@@ -199,10 +200,8 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
             pr += coeffs[k - 1] * diff
 
     def worker(sl: slice) -> None:
-        # callables see a whole slice per call; grid stacks go block by block
-        size = _BLOCK if grid else sl.stop - sl.start
-        for start in range(sl.start, sl.stop, size):
-            block(slice(start, min(start + size, sl.stop)))
+        for start in range(sl.start, sl.stop, _BLOCK):
+            block(slice(start, min(start + _BLOCK, sl.stop)))
 
     _run(worker, m, threads)
     return total, lo, hi, pairs

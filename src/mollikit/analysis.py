@@ -137,6 +137,15 @@ class StudyReport:
             "slack": float(slack), "pass": bool(lhs <= rhs + slack),
         })
 
+    def add_decay_checks(self, token: str) -> None:
+        """Check that the ``token`` errors decay over n: each step at most
+        1.05x the one before, the last at most 0.3x the first."""
+        errs = self.errors[token]
+        ratios = [e2 / e1 if e1 > 1e-15 else 0.0 for e1, e2 in zip(errs, errs[1:])]
+        self.add_check(f"{token} monotone", max(ratios, default=0.0), 1.0, 0.05)
+        final = errs[-1] / errs[0] if errs[0] > 1e-15 else 0.0
+        self.add_check(f"{token} final decay", final, 0.3)
+
     def passed(self) -> bool:
         return all(c["pass"] for c in self.bound_checks)
 
@@ -490,12 +499,7 @@ def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig
         report.runtime_s.append(time.perf_counter() - t0)
 
     for token in err_norms:
-        errs = report.errors[token]
-        ratios = [e2 / e1 if e1 > 1e-15 else 0.0
-                  for e1, e2 in zip(errs, errs[1:])]
-        report.add_check(f"{token} monotone", max(ratios, default=0.0), 1.0, 0.05)
-        final_ratio = errs[-1] / errs[0] if errs[0] > 1e-15 else 0.0
-        report.add_check(f"{token} final decay", final_ratio, 0.3)
+        report.add_decay_checks(token)
 
     if bv_mode == "strict":
         for n, tv, zeta in zip(n_list, report.errors["TV_of_Tf"], zetas):

@@ -347,12 +347,7 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    checks: list[dict] = []
-
-    def check(name: str, lhs: float, rhs: float, slack: float = 0.0):
-        checks.append({"name": name, "lhs": float(lhs), "rhs": float(rhs),
-                       "slack": float(slack), "pass": bool(lhs <= rhs + slack)})
-
+    checks = analysis.StudyReport("selftest")
     threads = args.threads
     rng = np.random.default_rng(args.seed)
 
@@ -365,19 +360,20 @@ def cmd_selftest(args) -> int:
 
         const = ScalarField.constant(dom, 3.25)
         tf, _ = mollify_with_report(const, cfg, threads=threads)
-        check(f"{tag} constant reproduction", np.abs(tf.values - 3.25).max(), 0.0, 1e-12)
+        checks.add_check(f"{tag} constant reproduction", np.abs(tf.values - 3.25).max(),
+                         0.0, 1e-12)
 
         affine = ScalarField.from_function(dom, lambda *g: sum(g) + 0.5)
         ta, _ = mollify_with_report(affine, cfg, threads=threads)
-        check(f"{tag} affine reproduction",
-              np.abs(ta.values - affine.values).max(), 0.0, 1e-10)
+        checks.add_check(f"{tag} affine reproduction",
+                         np.abs(ta.values - affine.values).max(), 0.0, 1e-10)
 
         noisy = ScalarField(dom, rng.standard_normal(dom.shape))
         tn, rep = mollify_with_report(noisy, cfg, threads=threads)
-        check(f"{tag} sup bound", rep["sup_ratio"], 1.0)
+        checks.add_check(f"{tag} sup bound", rep["sup_ratio"], 1.0)
         wk = analysis.weak_l1_check(noisy, cfg, [10.0 ** e for e in range(-3, 3)],
                                     threads=threads)
-        check(f"{tag} weak-L1 violations", wk["violations"], 0.0)
+        checks.add_check(f"{tag} weak-L1 violations", wk["violations"], 0.0)
 
     dom = Domain.box([(0.0, 1.0)], 257)
     kernel = make_kernel("bump", 1, 32)
@@ -385,19 +381,18 @@ def cmd_selftest(args) -> int:
     sin_f = ScalarField.from_function(dom, lambda x: np.sin(np.pi * x))
     grad_rep = pointwise_gradient_bound_check(
         sin_f, MollifierConfig(kernel, quad, n=4), threads=threads)
-    check("gradient bounds violations", grad_rep["violations"], 0.0)
+    checks.add_check("gradient bounds violations", grad_rep["violations"], 0.0)
 
     study = analysis.convergence_study(
         sin_f, lambda n: MollifierConfig(kernel, quad, n=n), [1, 2, 4],
         ["L2", "W12"], "sin", threads=threads)
-    check("convergence monotone",
-          0.0 if study.passed() else 1.0, 0.0)
+    checks.add_check("convergence monotone", 0.0 if study.passed() else 1.0, 0.0)
 
     rep = analysis.l1_operator_norm_report(MollifierConfig(kernel, quad, n=1),
                                            probe_count=40, seed=args.seed)
-    check("operator norm vs bound", rep["estimate"], rep["bound"] * 1.1)
-    check("constant-step normalization",
-          abs(analysis.constant_step_probe(kernel) - 1.0), 0.0, 1e-12)
+    checks.add_check("operator norm vs bound", rep["estimate"], rep["bound"] * 1.1)
+    checks.add_check("constant-step normalization",
+                     abs(analysis.constant_step_probe(kernel) - 1.0), 0.0, 1e-12)
 
     x = dom.axis_coords(0)
     alpha = ScalarField(dom, np.minimum(x, 1.0 - x))
@@ -411,21 +406,16 @@ def cmd_selftest(args) -> int:
         _, info = feasible.feasible_smooth(f09, spec, cal, kernel, n,
                                            threads=threads, _mn_cache=cache)
         betas.append(info["beta"])
-        check(f"feasible margin n={n}", info["margin"], info["margin_slack"])
-    check("beta nondecreasing", max(b1 - b2 for b1, b2 in zip(betas, betas[1:])),
-          0.0, 1e-12)
+        checks.add_check(f"feasible margin n={n}", info["margin"], info["margin_slack"])
+    checks.add_check("beta nondecreasing", max(b1 - b2 for b1, b2 in zip(betas, betas[1:])),
+                     0.0, 1e-12)
 
     tail_err = abs(analysis.tf0_quadrature(0.25) - analysis.tf0_closed(0.25))
-    check("counterexample point value", tail_err, 5e-3 * 1.4427)
+    checks.add_check("counterexample point value", tail_err, 5e-3 * 1.4427)
 
-    report = {"checks": checks, "pass": all(c["pass"] for c in checks),
-              "seed": args.seed}
-    _dump(report, args.out, args)
-    if not report["pass"]:
-        print(json.dumps({"failed_invariant":
-                          [c for c in checks if not c["pass"]]}, sort_keys=True))
-        return 1
-    return 0
+    _dump({"checks": checks.bound_checks, "pass": checks.passed(), "seed": args.seed},
+          args.out, args)
+    return 0 if checks.passed() else _fail(checks)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import GridSample, variable_step_average
+from ._sampling import GridSample, SigmaSample, variable_step_average
 from .grid import Domain, ScalarField, distance_field, gradient_central
 from .kernels import Kernel, make_kernel
 
@@ -155,7 +155,7 @@ def regularized_distance(domain: Domain, epsilon: float,
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
     vals = variable_step_average(pts, base.values[domain.inside_mask], kernel,
-                                 [domain.sigma_at], [sigma[domain.inside_mask]],
+                                 [SigmaSample(domain)], [sigma[domain.inside_mask]],
                                  domain.h).values[0]
     vals = np.minimum(vals, sigma[domain.inside_mask] * CLAMP)
 
@@ -218,7 +218,7 @@ def bv_step_eta(domain: Domain, n: int, quad_eta: EtaProfile,
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
     step = quad_eta.values[domain.inside_mask] / n
-    vals = variable_step_average(pts, step, kernel, [domain.sigma_at],
+    vals = variable_step_average(pts, step, kernel, [SigmaSample(domain)],
                                  [sigma[domain.inside_mask]], domain.h).values[0]
     s = sigma[domain.inside_mask]
     vals = np.minimum(vals, s)

@@ -197,11 +197,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
         mn_sups.append(info["mn_sup"])
         report.runtime_s.append(time.perf_counter() - t0)
 
-    errs = report.errors[token]
-    ratios = [e2 / e1 if e1 > 1e-15 else 0.0 for e1, e2 in zip(errs, errs[1:])]
-    report.add_check(f"{token} monotone", max(ratios, default=0.0), 1.0, 0.05)
-    report.add_check(f"{token} final decay",
-                     errs[-1] / errs[0] if errs[0] > 1e-15 else 0.0, 0.3)
+    report.add_decay_checks(token)
     beta_drops = [b1 - b2 for b1, b2 in zip(betas, betas[1:])]
     report.add_check("beta nondecreasing", max(beta_drops, default=0.0), 0.0, 1e-12)
     report.extra["beta"] = betas

@@ -6,6 +6,14 @@ functions.  Arbitrary regions are given by an inside mask; their boundary is
 the set of midpoints of the grid faces that separate inside from outside
 nodes.
 
+Box and ball distances separate by axis, in two halves that the sampling
+sweep shares: ``Domain._sigma_axis`` maps an axis coordinate ``c`` to
+``min(c - lo, hi - c)`` (box) or ``(c - center)^2`` (ball), and
+``Domain._sigma_combine`` takes the minimum of a point's terms (box) or
+``radius - sqrt`` of their sum in axis order (ball).  ``sigma_at`` is made of
+these halves, and sigma at the nodes and the inside test of a ball go
+through ``sigma_at``, so each distance has one definition.
+
 Every mask distance (sigma at the nodes, ``sigma_at`` off the grid, and the
 distance to an interior delta set) goes through one nearest-point query, a
 KD-tree over the target points.  It returns ``sqrt(min_j sum_a (x_a - p_ja)^2)``
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -125,11 +133,9 @@ class Domain:
         face, rounding can put the touching node a hair inside it."""
         bbox = _as_bbox(bbox)
         shape = _resolution_tuple(resolution, len(bbox))
-        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bbox, shape)]
-        nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
-                         axis=-1)
-        inside = _ball_distance(bbox, nodes).reshape(shape) > 0.0
-        return cls("ball", bbox, shape, inside & _off_faces(shape))
+        dom = cls("ball", bbox, shape, _off_faces(shape))
+        inside = dom.sigma_at(dom.node_coords(np.ones(shape, dtype=bool))).reshape(shape) > 0.0
+        return replace(dom, inside_mask=inside & dom.inside_mask)
 
     @classmethod
     def from_mask(cls, bbox, inside_mask) -> "Domain":
@@ -225,21 +231,21 @@ class Domain:
             self._face_tree = cKDTree(self.boundary_face_midpoints())
         return self._face_tree
 
+    def _crossing_faces(self) -> list[np.ndarray]:
+        """The boundary of a mask domain: per axis, the mask over the lower
+        node of each pair of neighbours along that axis that lie on opposite
+        sides of the boundary (one inside, one outside)."""
+        return [np.diff(self.inside_mask, axis=axis) for axis in range(self.dim)]
+
     def boundary_face_midpoints(self) -> np.ndarray:
         """Midpoints of grid faces separating inside from outside nodes."""
         mids = []
-        grids = self.node_grids()
         half = self.spacing / 2.0
-        for axis in range(self.dim):
-            a = self.inside_mask
-            lo_sl = [slice(None)] * self.dim
-            hi_sl = [slice(None)] * self.dim
-            lo_sl[axis] = slice(None, -1)
-            hi_sl[axis] = slice(1, None)
-            crossing = a[tuple(lo_sl)] ^ a[tuple(hi_sl)]
+        for axis, crossing in enumerate(self._crossing_faces()):
             if not crossing.any():
                 continue
-            pts = np.stack([g[tuple(lo_sl)][crossing] for g in grids], axis=-1)
+            lower = np.nonzero(crossing)
+            pts = np.stack([self.axis_coords(a)[i] for a, i in enumerate(lower)], axis=-1)
             pts[:, axis] += half[axis]
             mids.append(pts)
         if not mids:
@@ -253,13 +259,7 @@ class Domain:
 
         dbl_shape = tuple(2 * n - 1 for n in self.shape)
         target = np.zeros(dbl_shape, dtype=bool)
-        a = self.inside_mask
-        for axis in range(self.dim):
-            lo_sl = [slice(None)] * self.dim
-            hi_sl = [slice(None)] * self.dim
-            lo_sl[axis] = slice(None, -1)
-            hi_sl[axis] = slice(1, None)
-            crossing = a[tuple(lo_sl)] ^ a[tuple(hi_sl)]
+        for axis, crossing in enumerate(self._crossing_faces()):
             dbl_sl = [slice(None, None, 2)] * self.dim
             dbl_sl[axis] = slice(1, None, 2)
             target[tuple(dbl_sl)] |= crossing
@@ -270,12 +270,25 @@ class Domain:
     def sigma_at(self, points: np.ndarray) -> np.ndarray:
         """Exact boundary distance at arbitrary points (signed for box/ball)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "mask":
+            return _nearest_distance(self._boundary_tree(), points)
+        return self._sigma_combine([self._sigma_axis(axis, points[:, axis])
+                                    for axis in range(self.dim)])
+
+    def _sigma_axis(self, axis: int, coords: np.ndarray) -> np.ndarray:
+        """The axis half of a box or ball distance (see the module doc)."""
+        lo, hi = self.bbox[axis]
         if self.kind == "box":
-            per_axis = np.minimum(points - self.lo, self.hi - points)
-            return per_axis.min(axis=1)
-        if self.kind == "ball":
-            return _ball_distance(self.bbox, points)
-        return _nearest_distance(self._boundary_tree(), points)
+            return np.minimum(coords - lo, hi - coords)
+        return (coords - (lo + hi) / 2.0) ** 2
+
+    def _sigma_combine(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """The combine half of a box or ball distance, from its axis halves
+        in axis order."""
+        if self.kind == "box":
+            return reduce(np.minimum, parts)
+        radius = min((hi - lo) / 2.0 for lo, hi in self.bbox)
+        return radius - np.sqrt(reduce(np.add, parts))
 
     def delta_coords(self) -> np.ndarray | None:
         if self.delta_mask is None or not self.delta_mask.any():
@@ -361,14 +374,6 @@ def _off_faces(shape: tuple[int, ...]) -> np.ndarray:
     inside = np.zeros(shape, dtype=bool)
     inside[tuple(slice(1, -1) for _ in shape)] = True
     return inside
-
-
-def _ball_distance(bbox, points: np.ndarray) -> np.ndarray:
-    """Signed distance from (M, N) points to the sphere of the ball
-    inscribed in ``bbox``; positive inside."""
-    center = np.array([(lo + hi) / 2.0 for lo, hi in bbox])
-    radius = min((hi - lo) / 2.0 for lo, hi in bbox)
-    return radius - np.sqrt(((points - center) ** 2).sum(axis=1))
 
 
 def _nearest_distance(tree: cKDTree, points: np.ndarray) -> np.ndarray:

@@ -39,11 +39,11 @@ class MollifierConfig:
     """Kernel + step profile + optional family index n.
 
     The effective step at a node is ``eta(x) / n`` (or ``eta(x)`` when n is
-    None).  Construction validates that the step stays strictly below the
-    boundary distance at every inside node, so every averaging ball lies
-    inside the domain; ``allow_boundary_step`` relaxes this to <= for the
-    one caller (the integrability counterexample) that runs with step equal
-    to the boundary distance.
+    None).  Construction validates that the step is not negative and stays
+    strictly below the boundary distance at every inside node, so every
+    averaging ball lies inside the domain; ``allow_boundary_step`` relaxes
+    the upper bound to <= for the one caller (the integrability
+    counterexample) that runs with step equal to the boundary distance.
     """
 
     kernel: Kernel
@@ -61,7 +61,7 @@ class MollifierConfig:
             raise ValueError("kernel dim does not match domain dim")
         sigma = self.domain.sigma().values[self.domain.inside_mask]
         step = self.step_inside()
-        bad = step > sigma if self.allow_boundary_step else step >= sigma
+        bad = (step < 0.0) | (step > sigma if self.allow_boundary_step else step >= sigma)
         if bad.any():
             k = int(np.argmax(bad))
             pt = self.domain.node_coords()[k]

@@ -98,6 +98,22 @@ def test_mollify_boundary_nan_is_config_error(workdir):
     assert "non-finite" in json.loads(res.stderr)["config_error"]
 
 
+def test_mollify_negative_step_is_config_error(tmp_path):
+    dom = Domain.box([(0.0, 1.0)], 65)
+    x = dom.axis_coords(0)
+    eta = 0.5 * np.minimum(x, 1.0 - x) ** 2
+    eta[30:35] = -0.01  # five inside nodes
+    write_field_csv(ScalarField(dom, eta), tmp_path / "eta.csv")
+    write_field_csv(ScalarField(dom, np.sin(np.pi * x)), tmp_path / "f.csv")
+    res = run_cli("mollify", "--input", str(tmp_path / "f.csv"),
+                  "--eta", str(tmp_path / "eta.csv"), "--domain", DOMAIN_65,
+                  "--out", str(tmp_path / "tf.csv"), "--report", str(tmp_path / "tf.json"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    err = json.loads(res.stderr)["config_error"]
+    assert f"at node [{x[30]}]: step -0.01 vs" in err
+    assert not (tmp_path / "tf.csv").exists()
+
+
 def test_study_subcommand(workdir):
     out = workdir / "study.json"
     res = run_cli("study", "--fixture", "sin", "--domain", DOMAIN_257,

@@ -7,7 +7,7 @@ from mollikit.grid import (Domain, ScalarField, boundary_shell, distance_field,
                            domain_from_json, gradient_central, read_field_csv,
                            write_field_csv)
 
-from distance_oracle import mask_sigma, nearest_distance, node_sigma
+from distance_oracle import closed_form_distance, mask_sigma, nearest_distance, node_sigma
 from distance_oracle import sigma_at as oracle_sigma_at
 
 
@@ -99,6 +99,25 @@ def test_ball_on_non_dyadic_bbox_leaves_its_face_nodes_out():
     # the face-centre node lies on the sphere
     assert sigma[0, 10] == 0.0 and dom.sigma_at(dom.node_coords(
         np.ones(dom.shape, dtype=bool))).reshape(dom.shape)[0, 10] > 0.0
+
+
+@pytest.mark.parametrize("bbox", [
+    [(0.0, 1.0)],
+    [(-0.3, 2.2)],
+    [(0.0, 1.0), (0.0, 1.0)],
+    [(0.1, 0.7), (-0.2, 0.5)],
+    [(0.0, 1.3), (-0.2, 0.5)],
+    [(0.0, 1.0)] * 3,
+    [(0.1, 0.7), (0.0, 1.9), (-1.0, 0.3)],
+])
+def test_ball_inside_mask_equals_closed_form_oracle(bbox):
+    for res in (3, 4, 7, 12, 21, 33, 48):
+        shape = tuple(res + 2 * axis for axis in range(len(bbox)))  # anisotropic
+        dom = Domain.ball(bbox, shape)
+        off_faces = np.zeros(shape, dtype=bool)
+        off_faces[tuple(slice(1, -1) for _ in shape)] = True
+        want = (closed_form_distance(dom, dom.node_grids()) > 0.0) & off_faces
+        assert np.array_equal(dom.inside_mask, want), shape
 
 
 def test_mask_sigma_matches_offset_box_and_edt_agrees():

@@ -3,13 +3,16 @@ of ``sampling_oracle``, bit for bit, over box, ball and mask domains in 1D,
 2D and 3D with anisotropic spacing, even and odd kernel orders (odd orders
 carry the origin node and zero node components) and 1 and 2 threads."""
 
+import os
+
 import numpy as np
 import pytest
 
 import sampling_oracle as oracle
 from mollikit import _sampling
 from mollikit import eta as eta_mod
-from mollikit._sampling import GridSample, variable_step_average
+from mollikit._sampling import (GridSample, SigmaSample, _axis_values, _block_sampler,
+                                _halves, _sweep, variable_step_average)
 from mollikit.analysis import trace_check
 from mollikit.eta import build_whitney_eta, bv_step_eta, quadratic_eta, regularized_distance
 from mollikit.feasible import ConstraintSpec, convergence_factor
@@ -162,3 +165,62 @@ def test_sweep_outside_the_bbox_names_the_node_and_point():
                               [np.zeros(3)], dom.h)
     assert f"kernel node k=0, z_k={kernel.nodes[0]}" in str(err.value)
     assert f"at point {point}" in str(err.value)
+
+
+# lo = 0.0 on the first axis in 1D and 3D, so that a -0.0 coordinate there
+# gives a -0.0 box distance
+SIGMA_BBOX = {1: [(0.0, 1.3)],
+              2: [(0.1, 0.7), (-0.2, 0.5)],
+              3: [(0.0, 0.9), (-0.25, 0.5), (0.1, 0.85)]}
+
+
+def _sigma_sample_points(dom: Domain, rng):
+    """Points, steps and nodes whose samples include +-0.0 coordinates and
+    points exactly on the bbox faces and (up to rounding) on the sphere."""
+    dim, lo, hi = dom.dim, dom.lo, dom.hi
+    center, radius = (lo + hi) / 2.0, min(hi - lo) / 2.0
+    inner = lo + rng.random((300, dim)) * (hi - lo)
+    faces = inner[:100].copy()
+    axis = rng.integers(dim, size=100)
+    faces[np.arange(100), axis] = np.where(rng.random(100) < 0.5, lo[axis], hi[axis])
+    sphere = np.repeat(center[None], 2 * dim, axis=0)
+    for axis in range(dim):
+        sphere[2 * axis, axis] += radius
+        sphere[2 * axis + 1, axis] -= radius
+    zeros = inner[:40].copy()
+    zeros[::2, 0], zeros[1::2, 0] = -0.0, 0.0
+    x = np.vstack([inner, faces, sphere, zeros])
+    s = rng.uniform(0.0, 0.3, len(x)) * min(hi - lo)
+    s[300:] = 0.0  # the face, sphere and zero points are themselves sampled
+    eye = np.eye(dim)
+    nodes = np.vstack([make_kernel("bump", dim, ORDERS[dim][1]).nodes,  # odd: zero components
+                       eye, 0.0 - eye, np.full((1, dim), -0.0)])
+    return x, s, nodes
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sigma_samples_bitwise_equal_to_sigma_at(kind, dim, monkeypatch):
+    dom = getattr(Domain, kind)(SIGMA_BBOX[dim], SHAPE[dim])
+    x, s, nodes = _sigma_sample_points(dom, np.random.default_rng(dim))
+    shifted = [x - s[:, None] * z for z in nodes]
+    want = [dom.sigma_at(p) for p in shifted]
+    assert any((w == 0.0).any() for w in want) and any(np.signbit(w).any() for w in want)
+    sample = _block_sampler(_halves([SigmaSample(dom)]), _axis_values(nodes), x, s, nodes)
+    for k, w in enumerate(want):
+        assert sample(k)[0].tobytes() == w.tobytes(), k  # the sign of every zero too
+
+    # the whole sweep, in blocks of 64 points over two worker slices, never
+    # calls sigma_at and matches a loop over sigma_at in every bit
+    coeffs = np.random.default_rng(0).random(len(nodes))
+    total, lo, hi = np.zeros(len(x)), np.full(len(x), np.inf), np.full(len(x), -np.inf)
+    for c, w in zip(coeffs, want):
+        total += c * w
+        np.minimum(lo, w, out=lo)
+        np.maximum(hi, w, out=hi)
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)
+    assert len(_sampling._chunks(len(x), 2)) == min(2, len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(Domain, "sigma_at", None)
+    got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)], threads=2)
+    for a, b in zip(got[:3], (total, lo, hi)):
+        assert a[0].tobytes() == b.tobytes()
