@@ -6,8 +6,8 @@ trace values while becoming smooth where the radius is positive.
 """
 
 from .analysis import (InvariantViolation, StudyReport, constant_step_probe,
-                       convergence_study, counterexample_run, l1_operator_norm,
-                       l1_operator_norm_report, norm, trace_check, weak_l1_check)
+                       convergence_study, counterexample_run, l1_operator_norm_report,
+                       norm, trace_check, weak_l1_check)
 from .eta import (CertificationError, EtaProfile, ModulusOfContinuity,
                   build_whitney_eta, bv_step_eta, calibrated_eta,
                   estimate_modulus, quadratic_eta, regularized_distance)
@@ -31,7 +31,7 @@ __all__ = [
     "constant_step_probe", "convergence_factor", "convergence_study",
     "counterexample_run", "density_study", "distance_field", "domain_from_json",
     "estimate_modulus", "feasible_smooth", "gradient_central", "kernel_from_json",
-    "kernel_moment", "l1_operator_norm", "l1_operator_norm_report", "make_kernel",
+    "kernel_moment", "l1_operator_norm_report", "make_kernel",
     "membership", "modified_config", "mollify", "mollify_at_points",
     "mollify_composite", "mollify_gradient", "mollify_with_report", "norm",
     "pointwise_gradient_bound_check", "psi_field", "quadratic_eta",

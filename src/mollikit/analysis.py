@@ -28,7 +28,6 @@ __all__ = [
     "StudyReport",
     "norm",
     "weak_l1_check",
-    "l1_operator_norm",
     "l1_operator_norm_report",
     "constant_step_probe",
     "counterexample_run",
@@ -208,8 +207,7 @@ def _scaled_quadratic_setup(cfg: MollifierConfig):
     smax = float(sigma[dom.inside_mask].max())
     scale = 1.0 / (8.0 * smax * (1.0 + 1e-9))
     bbox = tuple((lo * scale, hi * scale) for lo, hi in dom.bbox)
-    dom2 = Domain(dom.kind, bbox, dom.shape, dom.inside_mask.copy(),
-                  dom.delta_mask, dom.gamma_mask)
+    dom2 = Domain(dom.kind, bbox, dom.shape, dom.inside_mask.copy(), dom.delta_mask)
     eta2 = cfg.eta.values * scale * scale
     return dom2, eta2, scale
 
@@ -267,8 +265,8 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
     return out + cellvol * total, resolved
 
 
-def l1_operator_norm(cfg: MollifierConfig, probe_count: int = 100,
-                     seed: int = 0) -> tuple[float, float]:
+def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
+                            seed: int = 0) -> dict:
     """Estimate the L1 operator norm and compare against the quadratic-decay
     bound m_rho (omega_N + omega_N N ln(2/kappa)).
 
@@ -278,12 +276,6 @@ def l1_operator_norm(cfg: MollifierConfig, probe_count: int = 100,
     node in the near-boundary shell plus seeded interior probes.  Raises if
     the estimate exceeds the bound by more than 10%.
     """
-    rep = l1_operator_norm_report(cfg, probe_count, seed)
-    return rep["estimate"], rep["bound"]
-
-
-def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
-                            seed: int = 0) -> dict:
     if cfg.eta.decay != "quadratic" or cfg.eta.kappa is None:
         raise ValueError("operator-norm estimate needs a certified quadratic step")
     kappa = cfg.eta.kappa
@@ -328,17 +320,17 @@ def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
     }
 
 
-def constant_step_probe(kernel: Kernel, cells: int = 3) -> float:
+def constant_step_probe(kernel: Kernel) -> float:
     """Constant-step diagnostic: the column integral on an aligned lattice.
 
-    With grid spacing h, step c = order*h/2, and the probe at a cell center,
-    the lattice offsets reproduce the kernel's own quadrature nodes, so the
-    sum equals the kernel normalization (1) to round-off, independent of the
-    profile.
+    With grid spacing h = 1/(3 order), step c = order*h/2, and the probe at a
+    cell center, the lattice offsets reproduce the kernel's own quadrature
+    nodes, so the sum equals the kernel normalization (1) to round-off,
+    independent of the profile.
     """
     order = kernel.order
     dim = kernel.dim
-    h = 1.0 / (cells * order)
+    h = 1.0 / (3 * order)
     c = order * h / 2.0
     offs = np.arange(-order // 2 - 1, order // 2 + 2)
     grids = np.meshgrid(*([offs] * dim), indexing="ij")
@@ -465,14 +457,14 @@ def _counterexample_grid_check(res: int) -> dict:
 def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig],
                       n_list: Sequence[int], norms: Sequence[str],
                       fixture: str = "custom", bv_mode: str | None = None,
-                      tv_bound_factor: float = 1.5,
                       threads: int = 1) -> StudyReport:
     """Errors of the approximation family against the input per norm token.
 
     Adds monotonicity (5% slack) and final-decay (0.3x) checks for the
     convergent norms.  ``bv_mode='strict'`` additionally checks
     |TV(Tf) - TV(f)| against the modified-family tolerance, and
-    ``bv_mode='weakstar'`` checks TV boundedness while the L1 error decays.
+    ``bv_mode='weakstar'`` checks TV(Tf) <= 1.5 TV(f) while the L1 error
+    decays.
     """
     report = StudyReport(fixture=fixture, n_values=list(n_list))
     err_norms = [t for t in norms if t != "TV"]
@@ -507,21 +499,19 @@ def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig
             report.add_check(f"TV strict n={n}", abs(tv - tv_f), rhs)
     elif bv_mode == "weakstar":
         report.add_check("TV bounded", max(report.errors["TV_of_Tf"]),
-                         tv_bound_factor * tv_f)
+                         1.5 * tv_f)
     if tv_f is not None:
         report.extra["TV_of_f"] = tv_f
     return report
 
 
-def trace_check(f: ScalarField, cfg: MollifierConfig,
-                widths_in_h: Sequence[float] = (4.0, 8.0, 16.0),
-                threads: int = 1) -> dict:
+def trace_check(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> dict:
     """Boundary-shell comparison of the smoothed field against the input.
 
-    On each shell the max deviation is compared to the max local oscillation
-    ``max_k |f(x - s z_k) - f(x)|`` of the input at the sampling radius, read
-    off the hull of the smoothing pass's own samples; both tend to zero as
-    the shells tighten.
+    On each shell, of width 4, 8 and 16 grid spacings, the max deviation is
+    compared to the max local oscillation ``max_k |f(x - s z_k) - f(x)|`` of
+    the input at the sampling radius, read off the hull of the smoothing
+    pass's own samples; both tend to zero as the shells tighten.
     """
     dom = cfg.domain
     tf, sweep = _mollify_sweep(f, cfg, threads)
@@ -531,7 +521,7 @@ def trace_check(f: ScalarField, cfg: MollifierConfig,
 
     dev = np.abs(tf.values[dom.inside_mask] - f_in)
     rows = []
-    for w in widths_in_h:
+    for w in (4.0, 8.0, 16.0):
         shell = sigma <= w * dom.h
         if not shell.any():
             rows.append({"width_in_h": w, "max_dev": 0.0, "osc_bound": 0.0,

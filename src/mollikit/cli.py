@@ -20,8 +20,8 @@ import numpy as np
 from . import analysis, feasible
 from .eta import (CertificationError, EtaProfile, build_whitney_eta, calibrated_eta,
                   estimate_modulus, quadratic_eta, regularized_distance)
-from .grid import (Domain, ScalarField, _json_spec, domain_from_json,
-                   gradient_central, read_field_csv, write_field_csv)
+from .grid import (Domain, ScalarField, _check_keys, _json_spec, _spec_value,
+                   domain_from_json, gradient_central, read_field_csv, write_field_csv)
 from .kernels import kernel_from_json, make_kernel
 from .mollify import (MollifierConfig, modified_config, mollify_gradient,
                       mollify_with_report, pointwise_gradient_bound_check)
@@ -33,7 +33,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _thread_count(args.threads)
+        if hasattr(args, "threads"):
+            args.threads = _thread_count(args.threads)
         return args.func(args)
     except (analysis.InvariantViolation, CertificationError) as err:
         print(json.dumps({"failed_invariant": str(err)}, sort_keys=True))
@@ -48,19 +49,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="variable-step smoothing toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--domain", default=DEFAULT_DOMAIN,
-                        help="domain spec JSON (inline or file path)")
-        sp.add_argument("--kernel", default='{"profile": "bump", "order": 64}',
-                        help="kernel spec JSON")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", default=os.environ.get("MOLLIKIT_THREADS", "1"),
-                        help="worker threads, at least 1 (default $MOLLIKIT_THREADS or 1)")
+    # eta and norm1 run on one thread but take --threads, so that one
+    # command line serves every subcommand that builds a step profile
+    flags = {
+        "--domain": dict(default=DEFAULT_DOMAIN, help="domain spec JSON (inline or file path)"),
+        "--kernel": dict(default='{"profile": "bump", "order": 64}',
+                         help="kernel spec JSON (inline or file path)"),
+        "--threads": dict(default="1", help="worker threads, at least 1"),
+        "--seed": dict(type=int, default=0),
+    }
+
+    def common(sp, *names):
+        for name in names:
+            sp.add_argument(name, **flags[name])
         sp.add_argument("--no-timestamp", action="store_true",
                         help="deterministic reports (drop timing fields)")
 
     sp = sub.add_parser("eta", help="build a certified step function")
-    common(sp)
+    common(sp, "--domain", "--kernel", "--threads")
     sp.add_argument("--builder", required=True,
                     choices=["whitney", "regdist", "quadratic", "calibrated"])
     sp.add_argument("--epsilon", type=float, default=0.25)
@@ -70,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eta)
 
     sp = sub.add_parser("mollify", help="apply the smoothing operator")
-    common(sp)
+    common(sp, "--domain", "--kernel", "--threads")
     sp.add_argument("--input", required=True, help="input field CSV")
     sp.add_argument("--eta", required=True, help="step field CSV or builder JSON")
     sp.add_argument("--n", default="none", help="family index or 'none'")
@@ -81,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mollify)
 
     sp = sub.add_parser("study", help="convergence study of the family")
-    common(sp)
+    common(sp, "--domain", "--kernel", "--threads")
     sp.add_argument("--fixture", default="sin",
                     help="sin | step | poly | custom:<csv>")
     sp.add_argument("--eta", default='{"builder": "quadratic", "epsilon": 0.1}')
@@ -92,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_study)
 
     sp = sub.add_parser("norm1", help="L1 operator-norm estimate vs bound")
-    common(sp)
+    common(sp, "--domain", "--kernel", "--threads", "--seed")
     sp.add_argument("--eta", default='{"builder": "quadratic", "epsilon": 0.1}')
     sp.add_argument("--probes", type=int, default=100)
     sp.add_argument("--n", default="none")
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("feasible", help="feasible smoothing study")
-    common(sp)
+    common(sp, "--domain", "--kernel", "--threads")
     sp.add_argument("--f", required=True, help="feasible input field CSV")
     sp.add_argument("--alpha", required=True, help="bound field CSV")
     sp.add_argument("--mode", choices=["value", "gradient"], default="value")
@@ -117,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_feasible)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(sp)
+    common(sp, "--threads", "--seed")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_selftest)
     return p
@@ -131,8 +137,7 @@ def _thread_count(token: str) -> int:
     try:
         threads = int(token)
     except ValueError:
-        raise ValueError(f"thread count (--threads or MOLLIKIT_THREADS) must be an "
-                         f"integer, got {token!r}") from None
+        raise ValueError(f"thread count must be an integer, got {token!r}") from None
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
     return threads
@@ -143,9 +148,7 @@ def _load_domain(args) -> Domain:
 
 
 def _load_kernel(args, dim: int):
-    spec = _json_spec(args.kernel)
-    spec.setdefault("dim", dim)
-    return kernel_from_json(json.dumps(spec))
+    return kernel_from_json({"dim": dim, **_json_spec(args.kernel)})
 
 
 def _parse_n(token: str):
@@ -153,7 +156,10 @@ def _parse_n(token: str):
 
 
 def _parse_n_list(token: str) -> list[int]:
-    return [int(t) for t in token.split(",") if t]
+    n_list = [int(t) for t in token.split(",") if t]
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"family index n must be a positive integer, got --n {token!r}")
+    return n_list
 
 
 def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
@@ -164,8 +170,9 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
         return EtaProfile(f, float(g.values[domain.inside_mask].max()),
                           "calibrated", None, vals == 0.0)
     cfg = json.loads(spec)
+    _check_keys(cfg, ("builder", "epsilon", "bins"))
     builder = cfg.get("builder", "quadratic")
-    eps = float(cfg.get("epsilon", 0.25))
+    eps = _spec_value(cfg, "epsilon", float, 0.25)
     if builder == "whitney":
         return build_whitney_eta(domain, None, eps)
     if builder == "regdist":
@@ -177,7 +184,7 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
             raise ValueError("calibrated builder needs a bound field")
         theta = (alpha.values == 0.0) | ~domain.inside_mask
         base = build_whitney_eta(domain, theta, min(eps, 0.5))
-        modulus = estimate_modulus(alpha, int(cfg.get("bins", 32)))
+        modulus = estimate_modulus(alpha, _spec_value(cfg, "bins", int, 32))
         return calibrated_eta(domain, alpha, modulus, base)
     raise ValueError(f"unknown eta builder {builder!r}")
 
@@ -186,7 +193,8 @@ def _dump(report: dict, path, args) -> None:
     if not args.no_timestamp:
         report = dict(report)
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        report["threads"] = args.threads
+        if hasattr(args, "threads"):
+            report["threads"] = args.threads
     text = json.dumps(report, sort_keys=True, indent=1)
     if path:
         with open(path, "w") as fh:
@@ -326,8 +334,8 @@ def cmd_feasible(args) -> int:
     alpha = read_field_csv(args.alpha, dom)
     f = read_field_csv(args.f, dom)
     spec = feasible.ConstraintSpec(alpha, args.mode)
-    prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
     n_list = _parse_n_list(args.n)
+    prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
     scheme = args.scheme or ("gradient" if args.mode == "gradient" else "W1p")
     cache: dict = {}
     report = feasible.density_study(f, spec, prof, kernel, n_list, scheme,
@@ -401,10 +409,8 @@ def cmd_selftest(args) -> int:
     cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, 16), base)
     f09 = ScalarField(dom, 0.9 * alpha.values)
     betas = []
-    cache: dict = {}
     for n in (1, 4, 16):
-        _, info = feasible.feasible_smooth(f09, spec, cal, kernel, n,
-                                           threads=threads, _mn_cache=cache)
+        _, info = feasible.feasible_smooth(f09, spec, cal, kernel, n, threads=threads)
         betas.append(info["beta"])
         checks.add_check(f"feasible margin n={n}", info["margin"], info["margin_slack"])
     checks.add_check("beta nondecreasing", max(b1 - b2 for b1, b2 in zip(betas, betas[1:])),

@@ -40,7 +40,6 @@ class ConstraintSpec:
 
     alpha: ScalarField
     mode: str = "value"  # value | gradient
-    gamma_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("value", "gradient"):
@@ -66,8 +65,7 @@ class ConstraintSpec:
         return gradient_central(f).magnitude().values
 
     def theta_domain(self) -> Domain:
-        dom = self.domain.with_delta(self.delta_mask)
-        return dom if self.gamma_mask is None else dom.with_gamma(self.gamma_mask)
+        return self.domain.with_delta(self.delta_mask)
 
 
 def membership(f: ScalarField, spec: ConstraintSpec) -> tuple[bool, np.ndarray, float]:

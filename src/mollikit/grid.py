@@ -38,9 +38,11 @@ and constant data interpolates exactly.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import product
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +78,7 @@ class Domain:
     The grid covers the closed bounding box with ``shape[i]`` nodes along
     axis i (spacing ``(hi - lo) / (shape[i] - 1)``).  ``inside_mask`` marks
     the nodes lying in the open region; nodes on the bbox faces are never
-    inside.  ``delta_mask`` marks an optional closed interior node set, and
-    ``gamma_mask`` an optional subset of the boundary nodes.
+    inside.  ``delta_mask`` marks an optional closed interior node set.
     """
 
     kind: str
@@ -85,7 +86,6 @@ class Domain:
     shape: tuple[int, ...]
     inside_mask: np.ndarray
     delta_mask: np.ndarray | None = None
-    gamma_mask: np.ndarray | None = None
     _sigma_values: np.ndarray | None = field(default=None, repr=False)
     _face_tree: cKDTree | None = field(default=None, repr=False)
 
@@ -110,11 +110,6 @@ class Domain:
                 raise ValueError("delta_mask shape mismatch")
             if (self.delta_mask & ~self.inside_mask).any():
                 raise ValueError("delta nodes must be interior")
-        if self.gamma_mask is not None:
-            if self.gamma_mask.shape != self.shape:
-                raise ValueError("gamma_mask shape mismatch")
-            if (self.gamma_mask & self.inside_mask).any():
-                raise ValueError("gamma nodes must be boundary nodes")
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -145,11 +140,8 @@ class Domain:
         """Copy of the domain with a closed interior zero-set attached.
 
         Copies made here keep the boundary distances already computed, which
-        do not depend on the delta or gamma set."""
+        do not depend on the delta set."""
         return replace(self, delta_mask=delta_mask.astype(bool))
-
-    def with_gamma(self, gamma_mask: np.ndarray) -> "Domain":
-        return replace(self, gamma_mask=gamma_mask.astype(bool))
 
     # ------------------------------------------------------------------ #
     # grid geometry
@@ -422,12 +414,6 @@ class ScalarField:
     def at(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
         return self.domain.interpolate(self.values, points, clamp=clamp)
 
-    def inside(self) -> np.ndarray:
-        return self.values[self.domain.inside_mask]
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -545,37 +531,49 @@ def read_field_csv(path, domain: Domain | None = None) -> ScalarField:
 
 
 def _json_spec(spec: str) -> dict:
-    """A JSON spec given inline or as the path of a file holding it."""
-    if spec.lstrip().startswith("{"):
-        return json.loads(spec)
-    with open(spec) as fh:
-        return json.load(fh)
+    """A JSON object given inline or as the path of a file holding it."""
+    obj = json.loads(spec if spec.lstrip().startswith("{") else Path(spec).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spec must be a JSON object, got {json.dumps(obj)}")
+    return obj
 
 
-def domain_from_json(spec, base_dir=".") -> Domain:
-    """Build a domain from its JSON spec (string, path, or dict)."""
-    import os
+def _check_keys(spec: dict, known: Sequence[str]) -> None:
+    """Refuse the keys of a JSON spec that are not in ``known``."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(f"unknown spec keys {unknown}; known keys are {sorted(known)}")
 
+
+def _spec_value(spec: dict, key: str, convert: Callable, *default):
+    """``convert(spec[key])``, or ``convert(default)`` when a default is given
+    and the key is absent.  A value that ``convert`` refuses raises a
+    ValueError naming the key."""
+    try:
+        return convert(spec.get(key, *default) if default else spec[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"spec key {key!r}: {err}") from None
+
+
+def domain_from_json(spec) -> Domain:
+    """Build a domain from its JSON spec (string, path, or dict).  Field
+    paths in it are read relative to the working directory."""
     if isinstance(spec, str):
         spec = _json_spec(spec)
+    _check_keys(spec, ("kind", "bbox", "resolution", "mask", "delta"))
     kind = spec.get("kind", "box")
-    bbox = [tuple(b) for b in spec["bbox"]]
-    resolution = spec["resolution"]
+    bbox = _spec_value(spec, "bbox", _as_bbox)
+    resolution = _spec_value(spec, "resolution", lambda r: _resolution_tuple(r, len(bbox)))
     if kind == "box":
         dom = Domain.box(bbox, resolution)
     elif kind == "ball":
         dom = Domain.ball(bbox, resolution)
     elif kind == "mask":
-        mask_field = read_field_csv(os.path.join(base_dir, spec["mask"]))
+        mask_field = _spec_value(spec, "mask", lambda p: read_field_csv(os.fspath(p)))
         dom = Domain.from_mask(bbox, mask_field.values != 0.0)
     else:
         raise ValueError(f"unknown domain kind {kind!r}")
-    delta = spec.get("delta")
-    if delta:
-        f = read_field_csv(os.path.join(base_dir, delta), dom)
+    if spec.get("delta"):
+        f = _spec_value(spec, "delta", lambda p: read_field_csv(os.fspath(p), dom))
         dom = dom.with_delta((f.values == 0.0) & dom.inside_mask)
-    gamma = spec.get("gamma")
-    if gamma:
-        f = read_field_csv(os.path.join(base_dir, gamma), dom)
-        dom = dom.with_gamma((f.values != 0.0) & ~dom.inside_mask)
     return dom

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _check_keys, _spec_value
+
 __all__ = ["Kernel", "make_kernel", "kernel_moment", "unit_ball_volume", "kernel_from_json"]
 
 PROFILES = ("bump", "box", "plateau")
@@ -160,5 +162,7 @@ def kernel_from_json(spec) -> Kernel:
     """Kernel from a JSON spec {"profile", "order", "n"?, "dim"?}."""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    return make_kernel(spec["profile"], int(spec.get("dim", 1)),
-                       int(spec["order"]), spec.get("n"))
+    _check_keys(spec, ("profile", "order", "n", "dim"))
+    return make_kernel(_spec_value(spec, "profile", str), _spec_value(spec, "dim", int, 1),
+                       _spec_value(spec, "order", int),
+                       _spec_value(spec, "n", lambda n: None if n is None else int(n), None))

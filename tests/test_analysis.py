@@ -5,7 +5,7 @@ import pytest
 
 from mollikit.analysis import (InvariantViolation, constant_step_probe,
                                convergence_study, counterexample_run, f0,
-                               f0_l1_tail, field_difference, l1_operator_norm,
+                               f0_l1_tail, field_difference,
                                l1_operator_norm_report, norm, norm_by_token,
                                tf0_closed, tf0_quadrature, trace_check,
                                weak_l1_check, _column_mass,
@@ -126,7 +126,8 @@ def test_operator_norm_bound_formula(line, kernel1d):
     # eps = 1/3 gives kappa = 1/4, bound = m_rho (2 + 2 ln 8)
     prof = quadratic_eta(line, 1.0 / 3.0)
     cfg = MollifierConfig(kernel1d, prof, n=1)
-    est, bound = l1_operator_norm(cfg, probe_count=50)
+    rep = l1_operator_norm_report(cfg, probe_count=50)
+    est, bound = rep["estimate"], rep["bound"]
     assert bound == pytest.approx(kernel1d.m_rho * (2 + 2 * math.log(8)), rel=1e-6)
     assert bound == pytest.approx(kernel1d.m_rho * 6.159, rel=1e-3)
     assert est <= bound * 1.1
@@ -157,7 +158,7 @@ def test_operator_norm_report_counts_resolved_points(dim, res, order, n, resolve
 def test_operator_norm_requires_quadratic(line, kernel1d):
     prof = build_whitney_eta(line, epsilon=0.25)
     with pytest.raises(ValueError, match="quadratic"):
-        l1_operator_norm(MollifierConfig(kernel1d, prof, n=1))
+        l1_operator_norm_report(MollifierConfig(kernel1d, prof, n=1))
 
 
 def test_more_probes_never_decrease_estimate(line, kernel1d, quad_prof):
@@ -363,8 +364,8 @@ def test_trace_shell_errors_shrink(line, kernel1d):
     prof = build_whitney_eta(line, epsilon=0.5)
     cfg = MollifierConfig(kernel1d, prof, n=1)
     f = ScalarField.from_function(line, lambda x: 1.0 + 2.0 * x + np.sin(6 * x))
-    rep = trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0))
-    assert trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=2) == rep
+    rep = trace_check(f, cfg)
+    assert trace_check(f, cfg, threads=2) == rep
     assert rep["violations"] == 0
     devs = [r["max_dev"] for r in rep["rows"]]
     assert devs[0] <= devs[2] / 2.0

@@ -217,19 +217,47 @@ def test_feasible_infeasible_iterate_exits_one(tmp_path, monkeypatch, capsys):
     assert "smoothed iterate infeasible" in out["failed_invariant"]
 
 
-@pytest.mark.parametrize("threads, env", [("0", None), ("-3", None), ("two", None),
-                                          (None, "0"), (None, "1.5"), (None, "")])
-def test_bad_thread_count_is_config_error(threads, env, tmp_path, monkeypatch, capsys):
-    if env is None:
-        monkeypatch.delenv("MOLLIKIT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MOLLIKIT_THREADS", env)
-    argv = ["counterexample", "--resolutions", "65", "--out", str(tmp_path / "ce.json")]
-    if threads is not None:
-        argv += ["--threads", threads]
-    assert cli.main(argv) == 2
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_bad_thread_count_is_config_error(threads, capsys):
+    assert cli.main(["selftest", "--threads", threads]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "thread count" in err["config_error"]
+
+
+@pytest.mark.parametrize("flag, spec, key", [
+    ("--domain", [1, 2], "JSON object"),
+    ("--kernel", [1, 2], "JSON object"),
+    ("--domain", {"bbox": [0, 1], "resolution": [65]}, "'bbox'"),
+    ("--domain", {"bbox": [[0, 1]], "resolution": None}, "'resolution'"),
+    ("--domain", {"bbox": [[0, 1]], "resolution": [65], "delta": 5}, "'delta'"),
+    ("--domain", {"bbox": [[0, 1]], "resolution": [65], "gamma": "ones.csv"}, "'gamma'"),
+    ("--kernel", {"profile": "bump", "order": None}, "'order'"),
+    ("--eta", {"builder": "quadratic", "epsilon": None}, "'epsilon'"),
+])
+def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, capsys):
+    # a spec key of the wrong type or an unknown key names itself; domain
+    # and kernel specs are read from files, which may hold any JSON value
+    monkeypatch.chdir(tmp_path)
+    write_field_csv(ScalarField.constant(Domain.box([(0.0, 1.0)], 65), 1.0), "ones.csv")
+    value = json.dumps(spec)
+    if flag != "--eta":
+        (tmp_path / "spec.json").write_text(value)
+        value = "spec.json"
+    argv = ["norm1", "--domain", DOMAIN_65, "--probes", "5", "--out", "n.json", flag, value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in json.loads(err)["config_error"]
+
+
+@pytest.mark.parametrize("sub, n", [("study", ""), ("study", ","), ("feasible", ""),
+                                    ("feasible", "0")])
+def test_empty_or_nonpositive_n_list_is_config_error(sub, n, tmp_path, capsys):
+    argv = _feasible_args(tmp_path, n)
+    if sub == "study":
+        argv = ["study", "--domain", DOMAIN_65, "--n", n, "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 2
+    assert "family index" in json.loads(capsys.readouterr().err)["config_error"]
 
 
 def test_bad_json_is_config_error():

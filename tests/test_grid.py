@@ -194,7 +194,7 @@ def test_with_delta_and_gamma_keep_the_boundary_distances():
     dom.sigma_at(np.array([[0.5, 0.5]]))
     delta = np.zeros(dom.shape, dtype=bool)
     delta[16, 16] = True
-    copy = dom.with_delta(delta).with_gamma(~dom.inside_mask)
+    copy = dom.with_delta(delta)
     assert copy._sigma_values is dom._sigma_values
     assert copy._face_tree is dom._face_tree
     assert np.array_equal(copy.sigma().values, sigma)
