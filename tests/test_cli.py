@@ -245,17 +245,14 @@ def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, 
         value = "spec.json"
     argv = ["norm1", "--domain", DOMAIN_65, "--probes", "5", "--out", "n.json", flag, value]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert key in json.loads(err)["config_error"]
+    assert key in json.loads(capsys.readouterr().err)["config_error"]
 
 
 @pytest.mark.parametrize("sub, n", [("study", ""), ("study", ","), ("feasible", ""),
                                     ("feasible", "0")])
 def test_empty_or_nonpositive_n_list_is_config_error(sub, n, tmp_path, capsys):
-    argv = _feasible_args(tmp_path, n)
-    if sub == "study":
-        argv = ["study", "--domain", DOMAIN_65, "--n", n, "--out", str(tmp_path / "s.json")]
+    argv = (["study", "--domain", DOMAIN_65, "--n", n, "--out", str(tmp_path / "s.json")]
+            if sub == "study" else _feasible_args(tmp_path, n))
     assert cli.main(argv) == 2
     assert "family index" in json.loads(capsys.readouterr().err)["config_error"]
 
