@@ -15,9 +15,15 @@ distances (``SigmaSample``), ``Domain._sigma_axis`` and
 ``Domain._sigma_combine``, the halves of ``interpolate`` and ``sigma_at``.
 Each coordinate is the product and difference of ``points[i] - step[i] *
 nodes[k]``, so every sample is bitwise what ``interpolate`` or ``sigma_at``
-returns there.  A plain callable (mask distances among them) has the
-coordinate as its axis half and is called once per node on the stacked
-coordinates.
+returns there.  Mask distances are taken over each point's candidate
+boundary midpoints, a superset that holds the nearest midpoint of every
+sample of the point: ``Domain._mask_sigma_axis`` squares the axis offsets of
+the (point, candidate) pairs and ``Domain._mask_sigma_combine`` sums them in
+axis order and takes the minimum, as the KD-tree of ``sigma_at`` does, so
+the bits are the same.  The candidate tables grow with the pairs, so mask
+blocks are split into sub-blocks of about ``_BLOCK_PAIRS`` pairs.  A plain
+callable has the coordinate as its axis half and is called once per node on
+the stacked coordinates.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ from .kernels import Kernel
 # entry per distinct node coordinate per axis, each of _BLOCK points, so the
 # block bounds the sweep's memory; worker threads are handed whole blocks.
 _BLOCK = 4096
+
+# Candidate pairs per sub-block of a mask distance sweep.  Its axis tables
+# hold one entry per pair for each distinct node coordinate per axis, so a
+# block whose points see many boundary midpoints is split to keep them small.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _chunks(m: int, threads: int) -> list[slice]:
@@ -82,8 +93,8 @@ class GridSample:
 
 @dataclass(frozen=True, eq=False)
 class SigmaSample:
-    """``Domain.sigma_at`` as a sample function; a sweep takes box and ball
-    distances through their halves instead."""
+    """``Domain.sigma_at`` as a sample function; a sweep takes the distances
+    through their halves instead."""
 
     domain: Domain
 
@@ -91,24 +102,61 @@ class SigmaSample:
         return self.domain.sigma_at(p)
 
 
-def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
-    """The two halves of a sweep's sample functions.  The axis half maps
-    ``(axis, coords)`` to an entry whose last item masks the coordinates
-    outside the closed bbox (None where none can be); the combine half maps
-    a node's entries, in axis order, to its (F, M) samples."""
+def _halves(sample_fns: Sequence[Callable], nodes: np.ndarray) -> Callable:
+    """The halves of a sweep's sample functions, per block of points.
+
+    Called with a block's points ``x`` and steps ``s``, it returns the
+    block's sub-blocks as ``(slice, axis half, combine half)``.  The axis
+    half maps ``(axis, coords)`` to an entry whose last item masks the
+    coordinates outside the closed bbox (None where none can be); the
+    combine half maps a node's entries, in axis order, to its (F, M)
+    samples.  Only mask distances split a block (see ``_mask_halves``)."""
     first = sample_fns[0]
     dom = getattr(first, "domain", None)
+    if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind == "mask":
+        return _mask_halves(dom, np.sqrt((nodes * nodes).sum(axis=1)).max())
     if all(isinstance(fn, GridSample) and fn.clamp == first.clamp
            and (fn.domain.shape, fn.domain.bbox) == (dom.shape, dom.bbox) for fn in sample_fns):
         stack = np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float)
-        return (lambda axis, c: dom._axis_cells(axis, c, first.clamp),
-                lambda cells: dom._blend(stack, sum([c[0] for c in cells]), [c[1] for c in cells]))
-    if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind != "mask":
-        return (lambda axis, c: (dom._sigma_axis(axis, c), None),
-                lambda terms: dom._sigma_combine([t for t, _ in terms])[None])
-    return (lambda axis, c: (c, None),
-            lambda coords: np.array([fn(np.column_stack([c for c, _ in coords]))
-                                     for fn in sample_fns], dtype=float))
+        halves = (lambda axis, c: dom._axis_cells(axis, c, first.clamp),
+                  lambda cells: dom._blend(stack, sum([c[0] for c in cells]), [c[1] for c in cells]))
+    elif len(sample_fns) == 1 and isinstance(first, SigmaSample):
+        halves = (lambda axis, c: (dom._sigma_axis(axis, c), None),
+                  lambda terms: dom._sigma_combine([t for t, _ in terms])[None])
+    else:
+        halves = (lambda axis, c: (c, None),
+                  lambda coords: np.array([fn(np.column_stack([c for c, _ in coords]))
+                                           for fn in sample_fns], dtype=float))
+    return lambda x, s: [(slice(None), *halves)]
+
+
+def _mask_halves(dom: Domain, reach: float) -> Callable:
+    """Per block, the mask distance halves over each point's candidate
+    boundary midpoints (``Domain._mask_radius``, for samples within ``reach
+    * s`` of the point), in sub-blocks of about ``_BLOCK_PAIRS`` candidate
+    pairs; a first ball query only counts them, so that no more than a
+    sub-block's candidates are ever listed.  The candidates hold each
+    sample's nearest midpoint and the squares are summed in the tree's axis
+    order, so every sample is bitwise ``sigma_at``."""
+    tree = dom._boundary_tree()  # built here, before any worker thread
+
+    def split(x: np.ndarray, s: np.ndarray):
+        radius = dom._mask_radius(x, reach * s)
+        ends = np.cumsum(tree.query_ball_point(x, radius, workers=1, return_length=True))
+        start = 0
+        while start < len(x):
+            begin = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, begin + _BLOCK_PAIRS, side="right")), start + 1)
+            counts, found = dom._mask_candidates(x[start:stop], radius[start:stop])
+            owner = np.repeat(np.arange(stop - start), counts)
+            targets = tree.data[found].T.copy()
+            starts = np.cumsum(counts) - counts
+            yield (slice(start, stop),
+                   lambda axis, c, t=targets, o=owner: (dom._mask_sigma_axis(c, o, t[axis]), None),
+                   lambda parts, st=starts: dom._mask_sigma_combine([p for p, _ in parts], st)[None])
+            start = stop
+
+    return split
 
 
 def _node_error(k: int, z: np.ndarray, err: str) -> ValueError:
@@ -175,13 +223,17 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
     lo = np.full((n_f, m), np.inf)
     hi = np.full((n_f, m), -np.inf)
     pairs = np.zeros(m)
-    halves = _halves(sample_fns)
+    split = _halves(sample_fns, nodes)
     axis_values = _axis_values(nodes)
 
     def block(b: slice) -> None:
         idx = act_idx[b]
-        sample = _block_sampler(halves, axis_values, points[idx], step[idx], nodes)
-        acc, low, high, pr = total[:, b], lo[:, b], hi[:, b], pairs[b]
+        x, s = points[idx], step[idx]
+        for sub, *halves in split(x, s):
+            sub_block(_block_sampler(halves, axis_values, x[sub], s[sub], nodes),
+                      total[:, b][:, sub], lo[:, b][:, sub], hi[:, b][:, sub], pairs[b][sub])
+
+    def sub_block(sample, acc, low, high, pr) -> None:
         for k, z in enumerate(nodes):
             vals = sample(k)
             acc += coeffs[k] * vals
@@ -193,7 +245,7 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
                 prev = vals
                 continue
             mirror = nodes[k - 1]
-            diff = np.zeros(len(idx))
+            diff = np.zeros(len(pr))
             for axis, za in enumerate(mirror):
                 if za != 0.0:
                     diff += za * (vals[axis] - prev[axis])

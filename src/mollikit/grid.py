@@ -24,6 +24,15 @@ from a Euclidean distance transform on the doubled grid instead, because the
 tree slows down there; that transform is exact up to rounding but does not
 match the all-pairs bits on every spacing, so it serves only those grids.
 
+The sampling sweep takes mask distances in halves too, around a set of
+candidate midpoints per point x: a tree query for sigma(x) gives a radius
+(``Domain._mask_radius``) and a ball query of that radius
+(``Domain._mask_candidates``) a superset of the midpoints nearest to any
+sample within a given reach of x.  ``_mask_sigma_axis``
+squares one axis offset per candidate pair and ``_mask_sigma_combine`` sums
+the squares in axis order, takes the minimum over each point's candidates
+and its square root: the arithmetic of the tree query, so the same bits.
+
 Fields are read between nodes by multilinear interpolation, in two halves
 that the sampling sweep shares: ``Domain._axis_cells`` turns one axis
 coordinate into its cell's flat offset and the fraction ``t - i0`` with
@@ -41,7 +50,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -281,6 +290,41 @@ class Domain:
             return reduce(np.minimum, parts)
         radius = min((hi - lo) / 2.0 for lo, hi in self.bbox)
         return radius - np.sqrt(reduce(np.add, parts))
+
+    def _mask_radius(self, points: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """The set-up of the mask halves: per point x, a radius that holds
+        the boundary midpoint nearest to every sample y within ``reach`` of
+        x, ``r + 1e-9 (r + max_a |x_a|)`` with ``r = sigma_at(x) + 2 reach``.
+
+        That midpoint lies within ``|y - x| + sigma(y) <= 2 |y - x| +
+        sigma(x)`` of x.  The slack covers the rounding of sigma and of the
+        sample coordinates, which grows with their size."""
+        radius = _nearest_distance(self._boundary_tree(), points) + 2.0 * reach
+        return radius + 1e-9 * (radius + np.abs(points).max(axis=1))
+
+    def _mask_candidates(self, points: np.ndarray, radius: np.ndarray):
+        """Per point, the number of boundary midpoints within ``radius`` of
+        it, and their rows of ``_boundary_tree().data``, point after point."""
+        found = self._boundary_tree().query_ball_point(points, radius, workers=1,
+                                                       return_sorted=False)
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        return counts, np.fromiter(chain.from_iterable(found), dtype=np.intp,
+                                   count=int(counts.sum()))
+
+    @staticmethod
+    def _mask_sigma_axis(coords: np.ndarray, owner: np.ndarray,
+                         targets: np.ndarray) -> np.ndarray:
+        """The axis half of a mask distance: per candidate pair, the square
+        of the offset of its point's coordinate ``coords[owner]`` from its
+        midpoint's, ``targets``, as the tree query squares it."""
+        return (coords[owner] - targets) ** 2
+
+    @staticmethod
+    def _mask_sigma_combine(parts: Sequence[np.ndarray], starts: np.ndarray) -> np.ndarray:
+        """The combine half of a mask distance: the squares summed in axis
+        order, their minimum over each point's run of candidates (runs begin
+        at ``starts``), and its square root."""
+        return np.sqrt(np.minimum.reduceat(reduce(np.add, parts), starts))
 
     def delta_coords(self) -> np.ndarray | None:
         if self.delta_mask is None or not self.delta_mask.any():
@@ -570,6 +614,11 @@ def domain_from_json(spec) -> Domain:
         dom = Domain.ball(bbox, resolution)
     elif kind == "mask":
         mask_field = _spec_value(spec, "mask", lambda p: read_field_csv(os.fspath(p)))
+        for key, want, got in (("resolution", resolution, mask_field.domain.shape),
+                               ("bbox", bbox, mask_field.domain.bbox)):
+            if got != want:
+                raise ValueError(f"spec key {key!r}: {list(want)} does not match the "
+                                 f"mask field's {list(got)}")
         dom = Domain.from_mask(bbox, mask_field.values != 0.0)
     else:
         raise ValueError(f"unknown domain kind {kind!r}")

@@ -233,6 +233,11 @@ def test_bad_thread_count_is_config_error(threads, capsys):
     ("--domain", {"bbox": [[0, 1]], "resolution": [65], "gamma": "ones.csv"}, "'gamma'"),
     ("--kernel", {"profile": "bump", "order": None}, "'order'"),
     ("--eta", {"builder": "quadratic", "epsilon": None}, "'epsilon'"),
+    # the mask field is written on 65 nodes over [0, 1]
+    ("--domain", {"kind": "mask", "bbox": [[0, 2]], "resolution": [65], "mask": "ones.csv"},
+     "'bbox'"),
+    ("--domain", {"kind": "mask", "bbox": [[0, 1]], "resolution": [5], "mask": "ones.csv"},
+     "'resolution'"),
 ])
 def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, capsys):
     # a spec key of the wrong type or an unknown key names itself; domain

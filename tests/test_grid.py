@@ -276,6 +276,15 @@ def test_domain_from_json(tmp_path):
     ball = domain_from_json('{"kind": "ball", "bbox": [[0,1],[0,1]], "resolution": [21, 21]}')
     assert ball.kind == "ball" and ball.inside_mask.any()
 
+    # a mask field must lie on the spec's grid
+    write_field_csv(ScalarField(ball, ball.inside_mask.astype(float)), tmp_path / "m.csv")
+    spec = {"kind": "mask", "bbox": [[0, 1], [0, 1]], "resolution": [21, 21],
+            "mask": str(tmp_path / "m.csv")}
+    assert np.array_equal(domain_from_json(spec).inside_mask, ball.inside_mask)
+    for key, value in (("bbox", [[0, 2], [0, 2]]), ("resolution", [5, 5])):
+        with pytest.raises(ValueError, match=f"spec key '{key}'"):
+            domain_from_json({**spec, key: value})
+
 
 def test_gradient_central_affine_exact():
     dom = Domain.box([(0.0, 1.0), (0.0, 1.0)], 17)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mollikit import _sampling
-from mollikit._sampling import _chunks
+from mollikit._sampling import SigmaSample, _chunks, variable_step_average
 from mollikit.analysis import tf0_closed
 from mollikit.eta import EtaProfile, build_whitney_eta, quadratic_eta
 from mollikit.grid import Domain, ScalarField, gradient_central
@@ -206,6 +206,49 @@ def test_gradient_samples_each_component_once(square_cfg, monkeypatch):
     mollify_gradient(f, grad_f, square_cfg)
     active = int((square_cfg.step_inside() >= dom.h).sum())
     assert sum(sampled) == dom.dim * len(square_cfg.kernel.nodes) * active
+
+
+def test_mask_sigma_sweep_queries_the_tree_per_block(monkeypatch):
+    # per block one nearest-point query and one counting ball query, per
+    # sub-block one listing ball query; never one query per kernel node
+    x = np.linspace(-1.0, 1.0, 41)
+    gx, gy = np.meshgrid(x, x, indexing="ij")
+    dom = Domain.from_mask([(0.0, 1.0), (0.0, 1.0)], gx * gx + gy * gy < 0.8)
+    pts = dom.node_coords()
+    step = 0.5 * dom.sigma_at(pts)
+    kernel = make_kernel("bump", 2, 16)
+    calls = {"query": 0, "count": 0, "list": 0, "sub-block": 0}
+    tree = dom._boundary_tree()
+
+    class CountingTree:
+        data = tree.data
+
+        def query(self, *args, **kwargs):
+            calls["query"] += 1
+            return tree.query(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            calls["count" if kwargs.get("return_length") else "list"] += 1
+            return tree.query_ball_point(*args, **kwargs)
+
+    block_sampler = _sampling._block_sampler
+
+    def counting_sampler(*args):
+        calls["sub-block"] += 1
+        return block_sampler(*args)
+
+    monkeypatch.setattr(dom, "_face_tree", CountingTree())
+    monkeypatch.setattr(_sampling, "_block_sampler", counting_sampler)
+    monkeypatch.setattr(_sampling, "_BLOCK", 256)
+    monkeypatch.setattr(_sampling, "_BLOCK_PAIRS", 1000)
+    want = variable_step_average(pts, step, kernel, [SigmaSample(dom)], [step], dom.h)
+    blocks = -(-int((step >= dom.h).sum()) // 256)
+    assert calls["query"] == calls["count"] == blocks < calls["sub-block"] == calls["list"]
+    assert calls["list"] < len(kernel.nodes)
+
+    monkeypatch.setattr(_sampling, "_BLOCK_PAIRS", 10**9)  # sub-blocks change no bit
+    got = variable_step_average(pts, step, kernel, [SigmaSample(dom)], [step], dom.h)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_thread_count_does_not_change_bits(quad_cfg, monkeypatch):

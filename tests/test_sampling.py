@@ -28,8 +28,8 @@ SHAPE = {1: (97,), 2: (41, 29), 3: (17, 13, 15)}
 ORDERS = {1: (16, 15), 2: (8, 7), 3: (6, 5)}
 
 
-def _domain(kind: str, dim: int) -> Domain:
-    bbox, shape = BBOX[dim], SHAPE[dim]
+def _domain(kind: str, dim: int, bbox=None) -> Domain:
+    bbox, shape = bbox or BBOX[dim], SHAPE[dim]
     if kind == "box":
         return Domain.box(bbox, shape)
     if kind == "ball":
@@ -198,29 +198,51 @@ def _sigma_sample_points(dom: Domain, rng):
     return x, s, nodes
 
 
-@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("kind", ["box", "ball", "mask"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_sigma_samples_bitwise_equal_to_sigma_at(kind, dim, monkeypatch):
-    dom = getattr(Domain, kind)(SIGMA_BBOX[dim], SHAPE[dim])
-    x, s, nodes = _sigma_sample_points(dom, np.random.default_rng(dim))
+    dom = _domain(kind, dim, SIGMA_BBOX[dim])
+    rng = np.random.default_rng(dim)
+    x, s, nodes = _sigma_sample_points(dom, rng)
+    if kind == "mask":
+        # inside nodes with steps up to sigma, the largest a certified step
+        # profile takes, and the boundary midpoints themselves (sigma 0)
+        pts = dom.node_coords()
+        mids = dom.boundary_face_midpoints()[::7]
+        x = np.vstack([x, pts, mids])
+        s = np.concatenate([s, dom.sigma_at(pts) * rng.uniform(0.9, 1.0, len(pts)),
+                            np.zeros(len(mids))])
     shifted = [x - s[:, None] * z for z in nodes]
     want = [dom.sigma_at(p) for p in shifted]
-    assert any((w == 0.0).any() for w in want) and any(np.signbit(w).any() for w in want)
-    sample = _block_sampler(_halves([SigmaSample(dom)]), _axis_values(nodes), x, s, nodes)
-    for k, w in enumerate(want):
-        assert sample(k)[0].tobytes() == w.tobytes(), k  # the sign of every zero too
+    assert any((w == 0.0).any() for w in want)
+    assert any(np.signbit(w).any() for w in want) == (kind != "mask")
 
-    # the whole sweep, in blocks of 64 points over two worker slices, never
-    # calls sigma_at and matches a loop over sigma_at in every bit
+    # blocks of 64 points; mask blocks in sub-blocks of about 300 pairs
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)
+    monkeypatch.setattr(_sampling, "_BLOCK_PAIRS", 300)
+    if kind == "mask":  # some point takes every boundary midpoint as a candidate
+        reach = np.sqrt((nodes * nodes).sum(axis=1)).max()
+        counts, _ = dom._mask_candidates(x, dom._mask_radius(x, reach * s))
+        assert counts.max() == len(dom.boundary_face_midpoints()) and counts.min() >= 1
+    subs = 0
+    for sub, *halves in _halves([SigmaSample(dom)], nodes)(x, s):
+        sample = _block_sampler(halves, _axis_values(nodes), x[sub], s[sub], nodes)
+        for k, w in enumerate(want):
+            assert sample(k)[0].tobytes() == w[sub].tobytes(), k  # the sign of every zero too
+        subs += 1
+    assert (subs > 1) == (kind == "mask")
+
+    # the whole sweep, in blocks over one or two worker slices, never calls
+    # sigma_at and matches a loop over sigma_at in every bit
     coeffs = np.random.default_rng(0).random(len(nodes))
     total, lo, hi = np.zeros(len(x)), np.full(len(x), np.inf), np.full(len(x), -np.inf)
     for c, w in zip(coeffs, want):
         total += c * w
         np.minimum(lo, w, out=lo)
         np.maximum(hi, w, out=hi)
-    monkeypatch.setattr(_sampling, "_BLOCK", 64)
     assert len(_sampling._chunks(len(x), 2)) == min(2, len(os.sched_getaffinity(0)))
     monkeypatch.setattr(Domain, "sigma_at", None)
-    got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)], threads=2)
-    for a, b in zip(got[:3], (total, lo, hi)):
-        assert a[0].tobytes() == b.tobytes()
+    for threads in (1, 2):
+        got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)], threads)
+        for a, b in zip(got[:3], (total, lo, hi)):
+            assert a[0].tobytes() == b.tobytes()
