@@ -33,9 +33,8 @@ ok, _, margin = membership(f, spec)
 print(f"input: f = 0.9 alpha, feasible = {ok} (margin {margin:+.2e})\n")
 
 print("feasible smoothing across the family:")
-cache = {}
 for n in (1, 4, 16, 64):
-    g, info = feasible_smooth(f, spec, eta, kernel, n, _mn_cache=cache)
+    g, info = feasible_smooth(f, spec, eta, kernel, n)
     ok, _, m = membership(g, spec)
     print(f"  n = {n:3d}: scale beta = {info['beta']:.6f},  "
           f"||M_n - 1|| = {info['mn_sup']:.2e},  output margin {m:+.2e}")

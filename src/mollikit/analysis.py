@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .eta import EtaProfile
-from .grid import Domain, ScalarField, gradient_central
+from .grid import Domain, ScalarField, _ball_members, gradient_central
 from .kernels import Kernel, make_kernel, profile_value, unit_ball_volume
 from .mollify import MollifierConfig, _mollify_sweep, mollify
 
@@ -121,7 +120,10 @@ def norm_by_token(f: ScalarField, token: str) -> float:
 
 @dataclass
 class StudyReport:
-    """Per-n error table plus numeric bound checks."""
+    """Per-n error table plus numeric bound checks.
+
+    ``iterates`` holds the smoothed field of each n where the study keeps
+    it (``feasible.density_study`` does); ``to_dict`` leaves it out."""
 
     fixture: str
     n_values: list = dc_field(default_factory=list)
@@ -129,6 +131,7 @@ class StudyReport:
     bound_checks: list = dc_field(default_factory=list)
     runtime_s: list = dc_field(default_factory=list)
     extra: dict = dc_field(default_factory=dict)
+    iterates: list = dc_field(default_factory=list, repr=False)
 
     def add_check(self, name: str, lhs: float, rhs: float, slack: float = 0.0) -> None:
         self.bound_checks.append({
@@ -252,9 +255,7 @@ def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
     for start in range(0, len(pts), _COLUMN_BLOCK):
         x = pts[start:start + _COLUMN_BLOCK]
         sx = s[start:start + _COLUMN_BLOCK]
-        balls = tree.query_ball_point(x, sx)
-        counts = np.fromiter(map(len, balls), np.intp, len(balls))
-        j = np.fromiter(chain.from_iterable(balls), np.intp, counts.sum())
+        counts, j = _ball_members(tree, x, sx)
         i = np.repeat(np.arange(len(x)), counts)
         d2 = ((x[i] - probes[j]) ** 2).sum(axis=1)
         m = d2 < sx[i] ** 2
@@ -303,14 +304,9 @@ def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
         raise InvariantViolation(
             f"L1 operator-norm estimate {estimate} exceeds bound {bound} by >10%")
 
-    raw_step = cfg.step_inside()
-    raw, _ = _column_mass(cfg.domain, cfg.eta.values, nval, cfg.kernel,
-                          cfg.domain.node_coords(cfg.domain.inside_mask)[probe_idx],
-                          raw_step[probe_idx], refine)
     return {
         "estimate": estimate,
         "bound": bound,
-        "raw_estimate": float(raw.max()),
         "scale": scale,
         "kappa": kappa,
         "n": nval,

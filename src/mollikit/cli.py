@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import analysis, feasible
-from .eta import (CertificationError, EtaProfile, build_whitney_eta, calibrated_eta,
-                  estimate_modulus, quadratic_eta, regularized_distance)
+from .eta import (CertificationError, EtaProfile, _max_gradient, build_whitney_eta,
+                  calibrated_eta, estimate_modulus, quadratic_eta, regularized_distance)
 from .grid import (Domain, ScalarField, _check_keys, _json_spec, _spec_value,
                    domain_from_json, gradient_central, read_field_csv, write_field_csv)
 from .kernels import kernel_from_json, make_kernel
@@ -165,10 +165,8 @@ def _parse_n_list(token: str) -> list[int]:
 def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
     if not spec.lstrip().startswith("{"):
         f = read_field_csv(spec, domain)
-        vals = f.values
-        g = gradient_central(f).magnitude()
-        return EtaProfile(f, float(g.values[domain.inside_mask].max()),
-                          "calibrated", None, vals == 0.0)
+        return EtaProfile(f, _max_gradient(domain, f.values), "calibrated", None,
+                          f.values == 0.0)
     cfg = json.loads(spec)
     _check_keys(cfg, ("builder", "epsilon", "bins"))
     builder = cfg.get("builder", "quadratic")
@@ -277,6 +275,8 @@ def cmd_study(args) -> int:
     f = _fixture_field(args.fixture, dom)
     n_list = _parse_n_list(args.n)
     norms = [t.strip() for t in args.norms.split(",") if t.strip()]
+    if not norms:
+        raise ValueError(f"--norms needs at least one norm token, got {args.norms!r}")
     for t in norms:
         if t not in analysis.NORM_TOKENS:
             raise ValueError(f"unknown norm token {t!r}")
@@ -312,6 +312,8 @@ def _emit_csv_table(report, out_path) -> None:
 
 
 def cmd_norm1(args) -> int:
+    if args.probes < 0:
+        raise ValueError(f"--probes must be at least 0, got {args.probes}")
     dom = _load_domain(args)
     kernel = _load_kernel(args, dom.dim)
     prof = _eta_from_spec(args.eta, dom, kernel)
@@ -337,14 +339,11 @@ def cmd_feasible(args) -> int:
     n_list = _parse_n_list(args.n)
     prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
     scheme = args.scheme or ("gradient" if args.mode == "gradient" else "W1p")
-    cache: dict = {}
     report = feasible.density_study(f, spec, prof, kernel, n_list, scheme,
-                                    threads=args.threads, _mn_cache=cache)
+                                    threads=args.threads)
     if args.emit_iterates:
         os.makedirs(args.emit_iterates, exist_ok=True)
-        for n in n_list:
-            g, _ = feasible.feasible_smooth(f, spec, prof, kernel, n,
-                                            threads=args.threads, _mn_cache=cache)
+        for n, g in zip(n_list, report.iterates):
             write_field_csv(g, os.path.join(args.emit_iterates, f"iterate_n{n}.csv"))
     _dump(report.to_dict(include_runtime=not args.no_timestamp), args.out, args)
     return 0 if report.passed() else _fail(report)

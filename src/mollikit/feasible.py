@@ -18,7 +18,7 @@ import numpy as np
 
 from ._sampling import GridSample, variable_step_max
 from .analysis import InvariantViolation, StudyReport, field_difference, norm_by_token
-from .eta import EtaProfile
+from .eta import EtaProfile, _max_gradient
 from .grid import Domain, ScalarField, distance_field, gradient_central
 from .kernels import Kernel
 from .mollify import MollifierConfig, mollify
@@ -112,8 +112,7 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
 
 
 def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
-                    kernel: Kernel, n: int, threads: int = 1,
-                    _mn_cache: dict | None = None) -> tuple[ScalarField, dict]:
+                    kernel: Kernel, n: int, threads: int = 1) -> tuple[ScalarField, dict]:
     """Smooth a feasible field and rescale it back into the constraint set.
 
     Value mode scales by 1/(1 + ||M_n - 1||_inf); gradient mode additionally
@@ -125,13 +124,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     if not member:
         raise ValueError(f"input not feasible: margin {margin} at node {worst}")
 
-    if _mn_cache is not None and n in _mn_cache:
-        m_field, m_sup = _mn_cache[n]
-    else:
-        m_field, m_sup = convergence_factor(spec, eta, n, kernel, threads=threads)
-        if _mn_cache is not None:
-            _mn_cache[n] = (m_field, m_sup)
-
+    _, m_sup = convergence_factor(spec, eta, n, kernel, threads=threads)
     if spec.mode == "gradient":
         m_sup_eff = (1.0 + eta.grad_bound / n) * (1.0 + m_sup) - 1.0
     else:
@@ -142,9 +135,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     tf = mollify(f, cfg, threads=threads)
     g = ScalarField(spec.domain, beta * tf.values)
 
-    lip = float(gradient_central(spec.alpha).magnitude()
-                .values[spec.domain.inside_mask].max())
-    slack = 1e-8 + 3.0 * spec.domain.h * lip
+    slack = 1e-8 + 3.0 * spec.domain.h * _max_gradient(spec.domain, spec.alpha.values)
     ok, worst_g, margin_g = membership(g, spec)
     if margin_g > slack:
         raise InvariantViolation(
@@ -162,14 +153,15 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
 
 def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
                   kernel: Kernel, n_list, scheme: str = "W1p",
-                  threads: int = 1, _mn_cache: dict | None = None) -> StudyReport:
+                  threads: int = 1) -> StudyReport:
     """Feasible approximation study for one of the three density modes.
 
     ``scheme='Lp'`` measures L2 errors of the truncated-then-smoothed
     diagonal sequence (the input is zeroed within 1/n of the constraint zero
     set before smoothing); ``'W1p'`` and ``'gradient'`` measure W12 errors
     of the plain feasible iterates.  Every iterate's feasibility margin and
-    scale factor are recorded as bound checks.
+    scale factor are recorded as bound checks, and the iterates themselves
+    are kept on the report, in the order of ``n_list``.
     """
     if scheme not in ("Lp", "W1p", "gradient"):
         raise ValueError(f"unknown density scheme {scheme!r}")
@@ -180,15 +172,14 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     report.errors[token] = []
     betas = []
     mn_sups = []
-    cache = {} if _mn_cache is None else _mn_cache
     for n in n_list:
         t0 = time.perf_counter()
         fn = f
         if scheme == "Lp":
             vals = np.where(theta_dist >= 1.0 / n, f.values, 0.0)
             fn = ScalarField(spec.domain, vals)
-        g, info = feasible_smooth(fn, spec, eta, kernel, n, threads=threads,
-                                  _mn_cache=cache)
+        g, info = feasible_smooth(fn, spec, eta, kernel, n, threads=threads)
+        report.iterates.append(g)
         report.errors[token].append(norm_by_token(field_difference(g, f), token))
         report.add_check(f"feasible n={n}", info["margin"], info["margin_slack"])
         betas.append(info["beta"])

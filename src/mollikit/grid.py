@@ -305,11 +305,7 @@ class Domain:
     def _mask_candidates(self, points: np.ndarray, radius: np.ndarray):
         """Per point, the number of boundary midpoints within ``radius`` of
         it, and their rows of ``_boundary_tree().data``, point after point."""
-        found = self._boundary_tree().query_ball_point(points, radius, workers=1,
-                                                       return_sorted=False)
-        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-        return counts, np.fromiter(chain.from_iterable(found), dtype=np.intp,
-                                   count=int(counts.sum()))
+        return _ball_members(self._boundary_tree(), points, radius)
 
     @staticmethod
     def _mask_sigma_axis(coords: np.ndarray, owner: np.ndarray,
@@ -415,6 +411,17 @@ def _off_faces(shape: tuple[int, ...]) -> np.ndarray:
 def _nearest_distance(tree: cKDTree, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest point held by ``tree``."""
     return tree.query(points, workers=1)[0]
+
+
+def _ball_members(tree: cKDTree, points: np.ndarray,
+                  radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the number of points held by ``tree`` within ``radius`` of
+    it, and their rows of ``tree.data``, point after point (in no fixed
+    order within one point's ball)."""
+    found = tree.query_ball_point(points, radius, workers=1, return_sorted=False)
+    counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+    return counts, np.fromiter(chain.from_iterable(found), dtype=np.intp,
+                               count=int(counts.sum()))
 
 
 def _resolution_tuple(resolution, dim: int) -> tuple[int, ...]:

@@ -365,8 +365,7 @@ def _feasibility_case(dom, kernel, alpha):
     sups = {n: convergence_factor(spec, cal, n, kernel)[1] for n in (1, 4, 16, 64)}
     halving = all(sups[4 * n] <= 0.5 * sups[n] * 1.1 for n in (1, 4, 16))
 
-    cache = {}
-    betas = {n: feasible_smooth(f, spec, cal, kernel, n, _mn_cache=cache)[1]["beta"]
+    betas = {n: feasible_smooth(f, spec, cal, kernel, n)[1]["beta"]
              for n in (1, 2, 4, 8, 16, 32, 64)}
     beta_mono = all(betas[2 * n] >= betas[n] - 1e-12 for n in (1, 2, 4, 8, 16, 32))
     margins_ok = all(c["pass"] for c in rep_ii.bound_checks if c["name"].startswith("feasible"))

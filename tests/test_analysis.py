@@ -139,7 +139,6 @@ def test_operator_norm_family_estimates(line, kernel1d, quad_prof):
     ests = [r["estimate"] for r in reports]
     assert ests[0] >= ests[1] - 1e-9 and ests[1] >= ests[2] - 1e-9
     assert ests[-1] <= reports[-1]["limit_bound"] * 1.1
-    assert reports[0]["raw_estimate"] > 0
 
 
 @pytest.mark.parametrize("dim,res,order,n,resolved", [

@@ -193,17 +193,48 @@ def _feasible_args(tmp_path, n="1,2,4"):
 
 def test_feasible_iterates_reuse_the_study_factors(tmp_path, monkeypatch):
     calls = []
+    smoothed = []
     original = feasible.convergence_factor
+    original_mollify = feasible.mollify
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
+    def counting_mollify(*args, **kwargs):
+        smoothed.append(args[1].n)
+        return original_mollify(*args, **kwargs)
+
     monkeypatch.setattr(feasible, "convergence_factor", counting)
+    monkeypatch.setattr(feasible, "mollify", counting_mollify)
     argv = _feasible_args(tmp_path) + ["--emit-iterates", str(tmp_path / "it")]
     assert cli.main(argv) == 0
     assert calls == [1, 2, 4]
+    assert smoothed == [1, 2, 4]
     assert (tmp_path / "it" / "iterate_n4.csv").exists()
+
+
+def test_lp_iterates_are_the_study_iterates(tmp_path, monkeypatch):
+    reports = []
+    original = feasible.density_study
+
+    def keeping(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(feasible, "density_study", keeping)
+    argv = _feasible_args(tmp_path, "1,2,4,8") + ["--scheme", "Lp", "--emit-iterates",
+                                                  str(tmp_path / "it")]
+    assert cli.main(argv) == 0
+    dom = Domain.box([(0.0, 1.0)], 65)
+    # every node lies within 1/n = 1 of the zero set, so the study smooths
+    # an input truncated to zero
+    assert not read_field_csv(tmp_path / "it" / "iterate_n1.csv", dom).values.any()
+    (report,) = reports
+    assert len(report.iterates) == 4
+    for n, g in zip(report.n_values, report.iterates):
+        emitted = read_field_csv(tmp_path / "it" / f"iterate_n{n}.csv", dom)
+        assert emitted.values.tobytes() == g.values.tobytes()
 
 
 def test_feasible_infeasible_iterate_exits_one(tmp_path, monkeypatch, capsys):
@@ -260,6 +291,18 @@ def test_empty_or_nonpositive_n_list_is_config_error(sub, n, tmp_path, capsys):
             if sub == "study" else _feasible_args(tmp_path, n))
     assert cli.main(argv) == 2
     assert "family index" in json.loads(capsys.readouterr().err)["config_error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["study", "--norms", ""], "--norms"),
+    (["study", "--norms", ","], "--norms"),
+    (["norm1", "--probes", "-1"], "--probes"),
+])
+def test_empty_norms_or_negative_probes_is_config_error(argv, flag, tmp_path, capsys):
+    argv = argv + ["--domain", DOMAIN_65, "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 2
+    assert flag in json.loads(capsys.readouterr().err)["config_error"]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bad_json_is_config_error():

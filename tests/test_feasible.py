@@ -176,10 +176,9 @@ def test_feasible_smooth_gradient_mode(line, kernel1d, wedge):
 def test_beta_monotone_and_near_one(line, kernel1d, wedge_setup, wedge):
     spec, cal = wedge_setup
     f = ScalarField(line, 0.9 * wedge.values)
-    cache = {}
     betas = {}
     for n in (1, 2, 4, 8, 16, 32, 64):
-        _, info = feasible_smooth(f, spec, cal, kernel1d, n, _mn_cache=cache)
+        _, info = feasible_smooth(f, spec, cal, kernel1d, n)
         betas[n] = info["beta"]
     for n in (1, 2, 4, 8, 16, 32):
         assert betas[2 * n] >= betas[n] - 1e-12
