@@ -4,15 +4,20 @@
 point: the weighted sum, the hull of the samples and, for gradient stacks,
 the mirror-pair z-dot sum.  The three public entries are thin views of it.
 Every reduction is per evaluation point, so output values do not depend on
-how the point axis is chunked into blocks or across worker threads.
+how the point axis is chunked into blocks or across worker threads.  Each
+worker cuts its slice into near-equal blocks of ``_BLOCK`` to ``2 _BLOCK -
+1`` points, so no short tail block pays the per-node cost for a few points.
 
 Every sample is taken in two halves: per block of points, an axis half runs
 once per distinct node coordinate on each axis, on ``x_a - s z_a``; then a
 combine half runs once per node on its axes' entries.  For grid fields
 (``GridSample``) these are ``Domain._axis_cells`` and, with the flat offsets
-summed, ``Domain._blend`` over the whole field stack; for box and ball
-distances (``SigmaSample``), ``Domain._sigma_axis`` and
-``Domain._sigma_combine``, the halves of ``interpolate`` and ``sigma_at``.
+summed, ``Domain._blend`` over the tables of the whole field stack, which
+``Domain._blend_tables`` builds once per sweep (the stack and its last-axis
+differences), so no node redoes a subtraction that depends on the field
+alone; for box and ball distances (``SigmaSample``), ``Domain._sigma_axis``
+and ``Domain._sigma_combine``, the halves of ``interpolate`` and
+``sigma_at``.
 Each coordinate is the product and difference of ``points[i] - step[i] *
 nodes[k]``, so every sample is bitwise what ``interpolate`` or ``sigma_at``
 returns there.  Mask distances are taken over each point's candidate
@@ -31,6 +36,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,8 +46,11 @@ from .kernels import Kernel
 
 
 # Points per block of a sweep.  A block's axis tables hold one axis-half
-# entry per distinct node coordinate per axis, each of _BLOCK points, so the
-# block bounds the sweep's memory; worker threads are handed whole blocks.
+# entry per distinct node coordinate per axis, each as long as the block, so
+# the block bounds the sweep's memory.  Worker threads are handed slices of
+# whole _BLOCK multiples; each slice of m points is cut into max(1, m //
+# _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points (fewer only
+# in a slice shorter than _BLOCK), so no short tail block pays a node loop.
 _BLOCK = 4096
 
 # Candidate pairs per sub-block of a mask distance sweep.  Its axis tables
@@ -117,9 +126,11 @@ def _halves(sample_fns: Sequence[Callable], nodes: np.ndarray) -> Callable:
         return _mask_halves(dom, np.sqrt((nodes * nodes).sum(axis=1)).max())
     if all(isinstance(fn, GridSample) and fn.clamp == first.clamp
            and (fn.domain.shape, fn.domain.bbox) == (dom.shape, dom.bbox) for fn in sample_fns):
-        stack = np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float)
+        tables = dom._blend_tables(
+            np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float))
         halves = (lambda axis, c: dom._axis_cells(axis, c, first.clamp),
-                  lambda cells: dom._blend(stack, sum([c[0] for c in cells]), [c[1] for c in cells]))
+                  lambda cells: dom._blend(tables, reduce(np.add, [c[0] for c in cells]),
+                                           [c[1] for c in cells]))
     elif len(sample_fns) == 1 and isinstance(first, SigmaSample):
         halves = (lambda axis, c: (dom._sigma_axis(axis, c), None),
                   lambda terms: dom._sigma_combine([t for t, _ in terms])[None])
@@ -252,8 +263,11 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
             pr += coeffs[k - 1] * diff
 
     def worker(sl: slice) -> None:
-        for start in range(sl.start, sl.stop, _BLOCK):
-            block(slice(start, min(start + _BLOCK, sl.stop)))
+        size = sl.stop - sl.start
+        count = max(1, size // _BLOCK)
+        edges = [sl.start + i * size // count for i in range(count + 1)]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            block(slice(start, stop))
 
     _run(worker, m, threads)
     return total, lo, hi, pairs

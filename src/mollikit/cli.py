@@ -280,6 +280,9 @@ def cmd_study(args) -> int:
     for t in norms:
         if t not in analysis.NORM_TOKENS:
             raise ValueError(f"unknown norm token {t!r}")
+    if "TV" in norms and not args.bv:
+        raise ValueError("--norms TV needs --bv strict or --bv weakstar: TV is not an "
+                         "error norm, and without --bv no TV bound is checked")
     if args.bv == "strict":
         quad = _eta_from_spec(args.eta, dom, kernel)
         cfg_for_n = lambda n: modified_config(dom, n, quad, kernel.order)
@@ -331,6 +334,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    scheme = args.scheme or ("gradient" if args.mode == "gradient" else "W1p")
+    feasible._check_scheme(scheme, args.mode)
     dom = _load_domain(args)
     kernel = _load_kernel(args, dom.dim)
     alpha = read_field_csv(args.alpha, dom)
@@ -338,7 +343,6 @@ def cmd_feasible(args) -> int:
     spec = feasible.ConstraintSpec(alpha, args.mode)
     n_list = _parse_n_list(args.n)
     prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
-    scheme = args.scheme or ("gradient" if args.mode == "gradient" else "W1p")
     report = feasible.density_study(f, spec, prof, kernel, n_list, scheme,
                                     threads=args.threads)
     if args.emit_iterates:

@@ -151,6 +151,18 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     }
 
 
+def _check_scheme(scheme: str, mode: str) -> None:
+    """Refuse an unknown density scheme, and ``'Lp'`` in gradient mode:
+    zeroing the input within 1/n of the zero set breaks its gradient bound,
+    so the truncated input is not feasible."""
+    if scheme not in ("Lp", "W1p", "gradient"):
+        raise ValueError(f"unknown density scheme {scheme!r}")
+    if scheme == "Lp" and mode == "gradient":
+        raise ValueError("density scheme 'Lp' with constraint mode 'gradient': zeroing the "
+                         "input within 1/n of the zero set breaks its gradient bound; "
+                         "use scheme 'gradient' or 'W1p'")
+
+
 def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
                   kernel: Kernel, n_list, scheme: str = "W1p",
                   threads: int = 1) -> StudyReport:
@@ -163,8 +175,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     scale factor are recorded as bound checks, and the iterates themselves
     are kept on the report, in the order of ``n_list``.
     """
-    if scheme not in ("Lp", "W1p", "gradient"):
-        raise ValueError(f"unknown density scheme {scheme!r}")
+    _check_scheme(scheme, spec.mode)
     token = "L2" if scheme == "Lp" else "W12"
     theta_dist = distance_field(spec.theta_domain(), "theta").values
 

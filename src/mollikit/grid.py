@@ -37,11 +37,18 @@ Fields are read between nodes by multilinear interpolation, in two halves
 that the sampling sweep shares: ``Domain._axis_cells`` turns one axis
 coordinate into its cell's flat offset and the fraction ``t - i0`` with
 ``t = (p - lo) / h_a`` (after the bbox check, or the clamp onto the bbox),
-and ``Domain._blend`` gathers the 2^N cell corners of a stack of fields by
-flat index and reduces them as ``v0 + t (v1 - v0)``, last axis first.  The
-contract is exactness, not closeness: a value depends only on the point and
-the node array, never on which other points or fields are sampled with it,
-and constant data interpolates exactly.
+and ``Domain._blend`` reduces the 2^N cell corners of a stack of fields as
+``v0 + t (v1 - v0)``, last axis first.  What depends on the field alone is
+built once, by ``Domain._blend_tables``: beside the (F, nodes) stack, the
+last-axis differences ``stack[:, j + 1] - stack[:, j]``.  The last axis has
+stride 1, so one such table holds ``v1 - v0`` of every last-axis corner
+pair, and a last-axis step is one gather from it and one from the stack at
+the pair's lower corner: the subtraction a per-point gather would make,
+made once per node of the grid instead of once per sample.  ``interpolate``
+builds the tables per call; the sweep builds them once for all its kernel
+nodes.  The contract is exactness, not closeness: a value depends only on
+the point and the node array, never on which other points or fields are
+sampled with it, and constant data interpolates exactly.
 """
 
 from __future__ import annotations
@@ -343,17 +350,15 @@ class Domain:
             raise ValueError(f"points have dim {points.shape[1]}, domain has {self.dim}")
         if np.shape(values) != self.shape:
             raise ValueError(f"values have shape {np.shape(values)}, grid has {self.shape}")
-        base, fracs, outside = 0, [], False
-        for axis in range(self.dim):
-            offset, frac, out = self._axis_cells(axis, points[:, axis], clamp)
-            base = base + offset
-            fracs.append(frac)
-            outside = outside | out
+        offsets, fracs, outside = zip(*(self._axis_cells(axis, points[:, axis], clamp)
+                                        for axis in range(self.dim)))
+        outside = reduce(np.logical_or, outside)
         if np.any(outside):
             i = int(np.argmax(outside))
             raise ValueError(
                 f"evaluation outside the closed domain bbox at point {points[i]}")
-        return self._blend(np.reshape(np.asarray(values, dtype=float), (1, -1)), base, fracs)[0]
+        tables = self._blend_tables(np.reshape(np.asarray(values, dtype=float), (1, -1)))
+        return self._blend(tables, reduce(np.add, offsets), fracs)[0]
 
     def _axis_cells(self, axis: int, coords: np.ndarray, clamp: bool):
         """The first half of ``interpolate``, for one axis.
@@ -373,16 +378,33 @@ class Domain:
         i0 = np.clip(np.floor(t).astype(np.int64), 0, self.shape[axis] - 2)
         return i0 * self._strides[axis], t - i0, outside
 
-    def _blend(self, stack: np.ndarray, base: np.ndarray, fracs) -> np.ndarray:
-        """The second half of ``interpolate``: gather the 2^N cell corners
-        of each row of the (F, nodes) flat value ``stack`` at the flat lower
-        corners ``base`` and reduce them per axis, last axis first (the
-        corner order), into (F, M) values.
+    @staticmethod
+    def _blend_tables(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The field-only half of ``_blend`` for an (F, nodes) flat value
+        ``stack``: the stack and its last-axis differences ``stack[:, j + 1]
+        - stack[:, j]``.  The last axis has stride 1, so this one table holds
+        ``v1 - v0`` of every last-axis corner pair ``(c0, c0 + 1)``, at ``j =
+        base + c0``; a sweep builds it once for all its nodes."""
+        return stack, stack[:, 1:] - stack[:, :-1]
 
-        Each step is ``v0 + t * (v1 - v0)``, worked in place in the freshly
-        gathered ``v1``."""
-        vals = [stack.take(base + c, axis=1) for c in self._corners]
-        for t in reversed(fracs):
+    def _blend(self, tables, base: np.ndarray, fracs) -> np.ndarray:
+        """The second half of ``interpolate``: reduce the 2^N cell corners
+        of each field of ``_blend_tables`` at the flat lower corners
+        ``base`` per axis, last axis first (the corner order), into (F, M)
+        values.
+
+        Each step is ``v0 + t * (v1 - v0)``: on the last axis ``v1 - v0`` is
+        gathered from the difference table, on the others it is worked in
+        place in ``v1``."""
+        stack, diff = tables
+        vals = []
+        for c in self._pair_corners:
+            at = base + c if c else base
+            v = diff.take(at, axis=1)
+            v *= fracs[-1]
+            v += stack.take(at, axis=1)
+            vals.append(v)
+        for t in reversed(fracs[:-1]):
             for v0, v1 in zip(vals[0::2], vals[1::2]):
                 v1 -= v0
                 v1 *= t
@@ -396,9 +418,11 @@ class Domain:
         return tuple(int(np.prod(self.shape[a + 1:])) for a in range(self.dim))
 
     @cached_property
-    def _corners(self) -> list[int]:
-        """Flat offsets of the 2^N cell corners, the last axis fastest."""
-        return [int(np.dot(c, self._strides)) for c in product((0, 1), repeat=self.dim)]
+    def _pair_corners(self) -> list[int]:
+        """Flat offsets of the 2^(N-1) cell corners that are the lower end
+        of a last-axis corner pair, in corner order (the last axis
+        fastest)."""
+        return [int(np.dot(c, self._strides[:-1])) for c in product((0, 1), repeat=self.dim - 1)]
 
 
 def _off_faces(shape: tuple[int, ...]) -> np.ndarray:

@@ -8,7 +8,9 @@ samples each gradient component again), the ball max, and the oscillation
 loop of the boundary-trace check.  The arithmetic per (point, node) is the
 same, so the library must agree with these bit for bit.  Grid fields are
 sampled through ``interpolate`` below, the tuple-gather interpolation that
-``Domain.interpolate`` replaced with its flat gather.
+``Domain.interpolate`` replaced with its flat gather; ``flat_blend`` keeps
+that flat gather of every cell corner, which the last-axis difference
+tables of ``Domain._blend`` replaced in turn.
 """
 
 from itertools import product
@@ -129,6 +131,18 @@ def interpolate(domain, values, points, clamp=False):
         corner_vals = [v0 + t * (v1 - v0)
                        for v0, v1 in zip(corner_vals[0::2], corner_vals[1::2])]
     return corner_vals[0]
+
+
+def flat_blend(domain, stack, base, fracs):
+    """The flat-index blend that the difference tables replaced: the 2^N
+    cell corners of each row of ``stack`` gathered at ``base + c`` and
+    reduced as ``v0 + t * (v1 - v0)``, last axis first."""
+    strides = [int(np.prod(domain.shape[a + 1:])) for a in range(domain.dim)]
+    vals = [stack.take(base + int(np.dot(c, strides)), axis=1)
+            for c in product((0, 1), repeat=domain.dim)]
+    for t in reversed(fracs):
+        vals = [v0 + t * (v1 - v0) for v0, v1 in zip(vals[0::2], vals[1::2])]
+    return vals[0]
 
 
 def _sample(f, clamp):

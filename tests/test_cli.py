@@ -305,6 +305,28 @@ def test_empty_norms_or_negative_probes_is_config_error(argv, flag, tmp_path, ca
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("norms", ["TV", "L1,TV"])
+def test_study_tv_without_bv_is_config_error(norms, tmp_path, capsys, monkeypatch):
+    # TV is no error norm: without --bv the study would check nothing of it
+    monkeypatch.setattr(cli.analysis, "convergence_study", None)  # nothing is smoothed
+    argv = ["study", "--domain", DOMAIN_65, "--norms", norms, "--n", "1,2",
+            "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["config_error"]
+    assert "--norms TV" in err and "--bv" in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_feasible_gradient_mode_lp_scheme_is_config_error(tmp_path, capsys, monkeypatch):
+    # the Lp scheme truncates the input, which breaks a gradient bound
+    monkeypatch.setattr(cli, "_eta_from_spec", None)  # refused before any step or smoothing
+    argv = _feasible_args(tmp_path) + ["--mode", "gradient", "--scheme", "Lp"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["config_error"]
+    assert "'Lp'" in err and "'gradient'" in err
+    assert not (tmp_path / "feas.json").exists()
+
+
 def test_bad_json_is_config_error():
     res = run_cli("study", "--fixture", "sin", "--domain", "{not json",
                   "--out", "/tmp/never.json")

@@ -4,6 +4,7 @@ of ``sampling_oracle``, bit for bit, over box, ball and mask domains in 1D,
 carry the origin node and zero node components) and 1 and 2 threads."""
 
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -152,6 +153,72 @@ def test_interpolate_bitwise_equal_to_tuple_gather(dim):
         assert got.tobytes() == want.tobytes()  # the sign of every zero too
     with pytest.raises(ValueError, match="outside the closed domain bbox"):
         dom.interpolate(values, beyond)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_table_blend_bitwise_equal_to_corner_gathers(dim, clamp):
+    dom = Domain.box(BBOX[dim], SHAPE[dim])  # anisotropic, non-dyadic spacing
+    lo, hi = dom.lo, dom.hi
+    rng = np.random.default_rng(10 + dim)
+    inner = lo + rng.random((400, dim)) * (hi - lo)
+    upper = inner[:100].copy()  # on the upper face i0 clips to n - 2
+    face = rng.integers(dim, size=100)
+    upper[np.arange(100), face] = hi[face]
+    pts = [dom.node_coords(), inner, upper]
+    if clamp:
+        pts.append(lo + (rng.random((300, dim)) * 1.6 - 0.3) * (hi - lo))
+    pts = np.vstack(pts)
+    cells = [dom._axis_cells(axis, pts[:, axis], clamp) for axis in range(dim)]
+    assert not any(out.any() for *_, out in cells)
+    base, fracs = reduce(np.add, [c[0] for c in cells]), [c[1] for c in cells]
+    for n_f in (1, dim + 1):
+        values = rng.standard_normal((n_f, *dom.shape))
+        values.reshape(n_f, -1)[:, ::5] = 0.0
+        values.reshape(n_f, -1)[:, 1::5] = -0.0
+        stack = values.reshape(n_f, -1)
+        got = dom._blend(dom._blend_tables(stack), base, fracs)
+        assert got.tobytes() == oracle.flat_blend(dom, stack, base, fracs).tobytes()
+        for f, row in zip(values, got, strict=True):
+            want = oracle.interpolate(dom, f, pts, clamp=clamp)
+            assert row.tobytes() == want.tobytes()  # the sign of every zero too
+            assert dom.interpolate(f, pts, clamp=clamp).tobytes() == want.tobytes()
+
+
+def test_sweep_blocks_are_balanced(monkeypatch):
+    # a slice of m points makes max(1, m // B) blocks, each of B to 2B - 1
+    # points (fewer only when m < B), and no block size moves a bit
+    block = 16
+    dom = _domain("box", 2)
+    kernel = make_kernel("bump", 2, 8)
+    rng = np.random.default_rng(5)
+    lo, hi = dom.lo, dom.hi
+    x = lo + (0.2 + 0.6 * rng.random((2 * block + 1, 2))) * (hi - lo)
+    s = rng.uniform(0.0, 0.15, len(x)) * min(hi - lo)
+    fields = [GridSample(dom, rng.standard_normal(dom.shape)) for _ in range(3)]
+    sizes = []
+    block_sampler = _sampling._block_sampler
+
+    def recording(halves, axis_values, xb, *args):
+        sizes.append(len(xb))
+        return block_sampler(halves, axis_values, xb, *args)
+
+    monkeypatch.setattr(_sampling, "_block_sampler", recording)
+    monkeypatch.setattr(_sampling, "_BLOCK", block)
+    for m in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1):
+        sizes.clear()
+        got = _sweep(x[:m], s[:m], np.arange(m), kernel.nodes, kernel.coeffs, fields, 1)
+        assert sum(sizes) == m and len(sizes) == max(1, m // block)
+        assert max(sizes) < 2 * block and (min(sizes) >= block or sizes == [m] and m < block)
+        total, low, high = np.zeros((3, m)), np.full((3, m), np.inf), np.full((3, m), -np.inf)
+        for c, z in zip(kernel.coeffs, kernel.nodes):
+            vals = np.array([dom.interpolate(fn.values, x[:m] - s[:m, None] * z)
+                             for fn in fields])
+            total += c * vals
+            np.minimum(low, vals, out=low)
+            np.maximum(high, vals, out=high)
+        for a, b in zip(got[:3], (total, low, high)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_sweep_outside_the_bbox_names_the_node_and_point():
