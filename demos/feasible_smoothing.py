@@ -26,7 +26,7 @@ kernel = make_kernel("bump", 1, 64)
 # the step profile is calibrated to alpha through its modulus of
 # continuity, so the ball-sup ratio of alpha tends to one uniformly
 base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-eta = calibrated_eta(dom, alpha, estimate_modulus(alpha, 32), base)
+eta = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
 
 f = ScalarField(dom, 0.9 * alpha.values)
 ok, _, margin = membership(f, spec)

@@ -40,7 +40,7 @@ print(f"quadratic decay: kappa = {quad.kappa:.6f}, "
 alpha = ScalarField(dom, np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125))
 theta = (alpha.values == 0.0) | ~dom.inside_mask
 base = build_whitney_eta(dom, theta, epsilon=0.25)
-modulus = estimate_modulus(alpha, bins=32)
+modulus = estimate_modulus(alpha, base.values.max())
 cal = calibrated_eta(dom, alpha, modulus, base)
 print("calibrated: vanishes on the bound's zero set "
       f"({int((cal.values == 0).sum())} zero nodes), omega(eta) <= alpha everywhere")

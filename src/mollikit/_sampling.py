@@ -47,10 +47,10 @@ from .kernels import Kernel
 
 # Points per block of a sweep.  A block's axis tables hold one axis-half
 # entry per distinct node coordinate per axis, each as long as the block, so
-# the block bounds the sweep's memory.  Worker threads are handed slices of
-# whole _BLOCK multiples; each slice of m points is cut into max(1, m //
-# _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points (fewer only
-# in a slice shorter than _BLOCK), so no short tail block pays a node loop.
+# the block bounds the sweep's memory.  Worker threads are handed near-equal
+# slices of at least _BLOCK points; each slice of m points is cut into max(1,
+# m // _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points (fewer
+# only in a slice shorter than _BLOCK), so no short tail block pays a node loop.
 _BLOCK = 4096
 
 # Candidate pairs per sub-block of a mask distance sweep.  Its axis tables
@@ -60,17 +60,14 @@ _BLOCK_PAIRS = 1 << 14
 
 
 def _chunks(m: int, threads: int) -> list[slice]:
-    """Contiguous slices of the point axis, one per worker, each made of
-    whole sweep blocks; never more workers than the CPUs this process may
-    run on, nor than whole blocks, so a sweep of fewer than two blocks stays
-    on the calling thread."""
+    """Contiguous near-equal slices of the point axis, one per worker, each
+    of at least one sweep block; never more workers than the CPUs this
+    process may run on, nor than whole blocks, so a sweep of fewer than two
+    blocks stays on the calling thread."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(threads, cpus or 1, m // _BLOCK)
-    if threads <= 1:
-        return [slice(0, m)]
-    blocks = -(-m // _BLOCK)
-    size = -(-blocks // threads) * _BLOCK
-    return [slice(i, min(i + size, m)) for i in range(0, m, size)]
+    threads = max(1, min(threads, cpus or 1, m // _BLOCK))
+    bounds = [i * m // threads for i in range(threads + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _run(worker: Callable[[slice], None], m: int, threads: int) -> None:

@@ -168,7 +168,7 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
         return EtaProfile(f, _max_gradient(domain, f.values), "calibrated", None,
                           f.values == 0.0)
     cfg = json.loads(spec)
-    _check_keys(cfg, ("builder", "epsilon", "bins"))
+    _check_keys(cfg, ("builder", "epsilon"))
     builder = cfg.get("builder", "quadratic")
     eps = _spec_value(cfg, "epsilon", float, 0.25)
     if builder == "whitney":
@@ -182,8 +182,7 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
             raise ValueError("calibrated builder needs a bound field")
         theta = (alpha.values == 0.0) | ~domain.inside_mask
         base = build_whitney_eta(domain, theta, min(eps, 0.5))
-        modulus = estimate_modulus(alpha, _spec_value(cfg, "bins", int, 32))
-        return calibrated_eta(domain, alpha, modulus, base)
+        return calibrated_eta(domain, alpha, estimate_modulus(alpha, base.values.max()), base)
     raise ValueError(f"unknown eta builder {builder!r}")
 
 
@@ -409,7 +408,7 @@ def cmd_selftest(args) -> int:
     alpha = ScalarField(dom, np.minimum(x, 1.0 - x))
     spec = feasible.ConstraintSpec(alpha, "value")
     base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, 16), base)
+    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
     f09 = ScalarField(dom, 0.9 * alpha.values)
     betas = []
     for n in (1, 4, 16):

@@ -10,7 +10,11 @@ on its discrete gradient.  Four builders are provided:
 * ``calibrated_eta``      -- profile matched to a bound field via its modulus
                              of continuity
 
-Certificates are asserted on every node; a failed certificate raises.
+Certificates are asserted on every node; a failed certificate raises.  The
+modulus of continuity is ``estimate_modulus(alpha, reach)``, exact on the
+grid over ``[0, reach]``: never below the largest node-pair difference at
+any distance up to ``reach``.  ``calibrated_eta`` reads it up to the largest
+step of its base profile, and refuses a modulus whose knots end before that.
 """
 
 from __future__ import annotations
@@ -284,55 +288,42 @@ class ModulusOfContinuity:
 
 
 FLOOR_SLOPE = 1e-12
-_ALL_PAIR_NODE_LIMIT = 2048
-_SAMPLED_PAIRS = 200_000
 
 
-def estimate_modulus(alpha: ScalarField, bins: int = 32, seed: int = 0) -> ModulusOfContinuity:
-    """Empirical modulus of continuity of a continuous bound field.
+def estimate_modulus(alpha: ScalarField, reach: float) -> ModulusOfContinuity:
+    """Exact modulus of continuity of a grid field on ``[0, reach]``.
 
-    Bins node-pair distances, takes the running max of |alpha(x) - alpha(y)|
-    per bin, and adds the strictly increasing floor.  All pairs are used on
-    small grids; large grids fall back to seeded sampling plus every
-    axis-adjacent pair (which pins the local Lipschitz behaviour).
+    For each integer node offset ``o`` with ``|o * spacing| <= reach`` (one
+    of ``o`` and ``-o``), one slice difference of the value array gives the
+    largest ``|alpha(x + o) - alpha(x)|`` over all grid nodes.  The knots are
+    0, every distinct offset distance and ``reach``; a knot's value is the
+    running max over the distances up to it plus the floor ``FLOOR_SLOPE *
+    t``, raised to one ulp above the previous value where the floor does not
+    show.  No node pair lies between two knots, so omega is at least the
+    discrete modulus on ``[0, reach]`` and equals it (plus the floor) at the
+    knots; beyond ``reach`` it is an extrapolation, not a bound.
     """
-    if bins < 8:
-        raise ValueError("need at least 8 bins")
+    if not 0.0 <= reach < np.inf:
+        raise ValueError(f"modulus reach must be finite and at least 0, got {reach}")
     dom = alpha.domain
-    coords = dom.node_coords(np.ones(dom.shape, dtype=bool))
-    vals = alpha.values.reshape(-1)
-    m = len(vals)
-    if m <= _ALL_PAIR_NODE_LIMIT:
-        ii, jj = np.triu_indices(m, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, m, _SAMPLED_PAIRS)
-        jj = rng.integers(0, m, _SAMPLED_PAIRS)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        adj_i, adj_j = [], []
-        flat = np.arange(m).reshape(dom.shape)
-        for axis in range(dom.dim):
-            lo = [slice(None)] * dom.dim
-            hi = [slice(None)] * dom.dim
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            adj_i.append(flat[tuple(lo)].reshape(-1))
-            adj_j.append(flat[tuple(hi)].reshape(-1))
-        ii = np.concatenate([ii] + adj_i)
-        jj = np.concatenate([jj] + adj_j)
-    dist = np.sqrt(((coords[ii] - coords[jj]) ** 2).sum(axis=1))
-    diff = np.abs(vals[ii] - vals[jj])
+    vals = alpha.values
+    spans = [min(int(reach / h) + 1, n - 1) for h, n in zip(dom.spacing, dom.shape)]
+    offsets = np.indices([2 * m + 1 for m in spans]).reshape(dom.dim, -1).T - spans
+    offsets = offsets[len(offsets) // 2 + 1:]  # lexicographic: one of each +-o, no 0
+    dist = np.sqrt(((offsets * dom.spacing) ** 2).sum(axis=1))
+    offsets, dist = offsets[dist <= reach], dist[dist <= reach]
 
-    tmax = float(dist.max())
-    edges = np.linspace(0.0, tmax, bins + 1)
-    idx = np.clip(np.searchsorted(edges, dist, side="left") - 1, 0, bins - 1)
-    binmax = np.zeros(bins)
-    np.maximum.at(binmax, idx, diff)
-    running = np.maximum.accumulate(binmax)
+    def diff_max(o) -> float:
+        lo = tuple(slice(max(-c, 0), n - max(c, 0)) for c, n in zip(o, dom.shape))
+        hi = tuple(slice(max(c, 0), n + min(c, 0)) for c, n in zip(o, dom.shape))
+        return float(np.abs(vals[hi] - vals[lo]).max())
 
-    knots = np.concatenate([[0.0], edges[1:]])
-    values = np.concatenate([[0.0], running]) + FLOOR_SLOPE * knots
+    knots, at = np.unique(np.concatenate([[0.0], dist, [reach]]), return_inverse=True)
+    peak = np.zeros(len(knots))
+    np.maximum.at(peak, at, [0.0] + [diff_max(o) for o in offsets] + [0.0])
+    values = np.maximum.accumulate(peak) + FLOOR_SLOPE * knots
+    for k in range(1, len(values)):
+        values[k] = max(values[k], np.nextafter(values[k - 1], np.inf))
     return ModulusOfContinuity(knots, values)
 
 
@@ -350,7 +341,11 @@ def calibrated_eta(domain: Domain, alpha: ScalarField,
     if (alpha.values[domain.inside_mask] < 0.0).any():
         raise ValueError("bound field must be nonnegative")
 
-    eta0 = base.values / max(1.0, float(base.values.max()))
+    top = float(base.values.max())
+    if modulus.knots[-1] < top:
+        raise ValueError(f"modulus knots end at {modulus.knots[-1]}, below the largest base "
+                         f"step {top}: beyond its last knot omega is no bound")
+    eta0 = base.values / max(1.0, top)
     target = alpha.values * eta0
     values = np.minimum(base.values, modulus.inverse(target) * CLAMP)
     values[base.theta_mask] = 0.0

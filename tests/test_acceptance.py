@@ -337,7 +337,7 @@ def _disk_alpha(dom, center=(0.5, 0.5), radius=0.15):
 def _feasibility_case(dom, kernel, alpha):
     spec = ConstraintSpec(alpha, "value")
     base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, 32), base)
+    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
     lip = float(gradient_central(alpha).magnitude().values[dom.inside_mask].max())
     slack = 1e-8 + 3 * dom.h * lip
     n_list = [1, 2, 4, 8, 16]

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mollikit import cli, feasible
+from mollikit import _sampling, cli, feasible
 from mollikit.grid import Domain, ScalarField, read_field_csv, write_field_csv
 
 DOMAIN_65 = '{"kind": "box", "bbox": [[0.0, 1.0]], "resolution": [65]}'
@@ -269,6 +270,7 @@ def test_bad_thread_count_is_config_error(threads, capsys):
      "'bbox'"),
     ("--domain", {"kind": "mask", "bbox": [[0, 1]], "resolution": [5], "mask": "ones.csv"},
      "'resolution'"),
+    ("--eta", {"builder": "calibrated", "bins": 16}, "'bins'"),
 ])
 def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, capsys):
     # a spec key of the wrong type or an unknown key names itself; domain
@@ -333,13 +335,26 @@ def test_bad_json_is_config_error():
     assert res.returncode == 2
 
 
-def test_selftest_deterministic_across_threads(tmp_path):
+def test_selftest_deterministic_across_threads(tmp_path, monkeypatch):
+    # blocks of 64 points and 8 usable CPUs, so that --threads 8 splits sweeps
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    chunks = _sampling._chunks
+    slice_counts = []
+
+    def counted_chunks(m, threads):
+        slices = chunks(m, threads)
+        slice_counts.append(len(slices))
+        return slices
+
+    monkeypatch.setattr(_sampling, "_chunks", counted_chunks)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    ra = run_cli("selftest", "--threads", "1", "--no-timestamp", "--out", str(a))
-    rb = run_cli("selftest", "--threads", "8", "--no-timestamp", "--out", str(b))
-    assert ra.returncode == 0, ra.stdout + ra.stderr
-    assert rb.returncode == 0
+    assert cli.main(["selftest", "--threads", "1", "--no-timestamp", "--out", str(a)]) == 0
+    assert max(slice_counts) == 1
+    slice_counts.clear()
+    assert cli.main(["selftest", "--threads", "8", "--no-timestamp", "--out", str(b)]) == 0
+    assert max(slice_counts) >= 2
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert report["pass"] and "threads" not in report

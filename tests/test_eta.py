@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mollikit.eta import (CertificationError, ModulusOfContinuity, build_whitney_eta,
-                          bv_step_eta, calibrated_eta, estimate_modulus,
+from mollikit.eta import (FLOOR_SLOPE, CertificationError, ModulusOfContinuity,
+                          build_whitney_eta, bv_step_eta, calibrated_eta, estimate_modulus,
                           quadratic_eta, regularized_distance)
 from mollikit.grid import Domain, ScalarField, distance_field, second_differences
 from mollikit.kernels import make_kernel
+from modulus_oracle import discrete_modulus, modulus_at
+from test_acceptance import _disk_alpha
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +192,7 @@ def test_bv_step_certificate(line, n):
 def test_modulus_of_linear_bound():
     dom = Domain.box([(0.0, 1.0)], 65)  # 64 cells, knots align with the grid
     alpha = ScalarField.from_function(dom, lambda x: x)
-    mod = estimate_modulus(alpha, bins=16)
+    mod = estimate_modulus(alpha, 1.0)
     h = dom.h
     for t, v in zip(mod.knots[1:], mod.values[1:]):
         if t >= 2 * h:
@@ -200,33 +202,71 @@ def test_modulus_of_linear_bound():
 def test_modulus_constant_bound_is_floor():
     dom = Domain.box([(0.0, 1.0)], 65)
     alpha = ScalarField.constant(dom, 2.0)
-    mod = estimate_modulus(alpha, bins=16)
+    mod = estimate_modulus(alpha, 1.0)
     assert np.allclose(mod.values, 1e-12 * mod.knots)
 
 
 def test_modulus_lipschitz_bound():
     dom = Domain.box([(0.0, 1.0)], 65)
     alpha = ScalarField.from_function(dom, lambda x: np.minimum(x, 1 - x))
-    mod = estimate_modulus(alpha, bins=16)
+    mod = estimate_modulus(alpha, 1.0)
     assert (mod.values <= mod.knots + 1e-9).all()
 
 
 def test_modulus_inverse_roundtrip():
     dom = Domain.box([(0.0, 1.0)], 65)
     alpha = ScalarField.from_function(dom, lambda x: np.sqrt(x))
-    mod = estimate_modulus(alpha, bins=16)
+    mod = estimate_modulus(alpha, 1.0)
     t = mod.knots[1:]
     assert (mod.inverse(mod(t)) >= t * (1 - 1e-9)).all()
     with pytest.raises(ValueError, match="strictly increasing"):
         ModulusOfContinuity([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
-def test_modulus_large_grid_sampling_path():
-    dom = Domain.box([(0.0, 1.0)], 4097)  # beyond the all-pairs limit
+def test_modulus_large_grid_whole_reach():
+    dom = Domain.box([(0.0, 1.0)], 4097)  # every one of the 4096 offsets
     alpha = ScalarField.from_function(dom, lambda x: x)
-    mod = estimate_modulus(alpha, bins=16, seed=1)
+    mod = estimate_modulus(alpha, 1.0)
     assert (mod.values <= mod.knots + 1e-9).all()
     assert mod.values[-1] >= 0.9
+
+
+def _modulus_case(name):
+    """A bound field and a reach: random values on box and mask grids
+    (anisotropic, non-dyadic bboxes), or criterion 10's disk bound with the
+    reach of its calibrated step."""
+    if name == "disk96":
+        dom = Domain.box([(0.0, 1.0)] * 2, 96)
+        alpha = _disk_alpha(dom)
+        theta = (alpha.values == 0.0) | ~dom.inside_mask
+        return alpha, build_whitney_eta(dom, theta, 0.25).values.max()
+    aniso = [(0.1, 0.7), (-0.2, 0.5)]
+    disk = np.add.outer(np.linspace(-1, 1, 23) ** 2, np.linspace(-1, 1, 31) ** 2) < 0.8
+    dom, reach = {
+        "1d": (Domain.box([(0.0, 1.0)], 65), 0.3),
+        "2d-aniso": (Domain.box(aniso, (23, 31)), 0.2),
+        "2d-aniso-whole": (Domain.box(aniso, (23, 31)), 10.0),
+        "2d-mask": (Domain.from_mask(aniso, disk), 0.15),
+        "3d": (Domain.box([(0.0, 1.0), (0.0, 0.5), (0.0, 0.7)], (9, 7, 11)), 0.3),
+    }[name]
+    return ScalarField(dom, np.random.default_rng(5).random(dom.shape)), reach
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-aniso", "2d-aniso-whole", "2d-mask", "3d",
+                                  "disk96"])
+def test_modulus_matches_all_pairs_oracle(name):
+    alpha, reach = _modulus_case(name)
+    mod = estimate_modulus(alpha, reach)
+    dist, running = discrete_modulus(alpha, reach)
+    # a knot at 0, at every distinct pair distance, and at the reach
+    assert np.array_equal(mod.knots, np.union1d(dist, [0.0, reach]))
+    want = modulus_at(dist, running, mod.knots) + FLOOR_SLOPE * mod.knots
+    # where the floor does not show above the previous knot: one ulp above it
+    prev = np.concatenate([[-np.inf], mod.values[:-1]])
+    want = np.where(want > prev, want, np.nextafter(prev, np.inf))
+    assert np.array_equal(mod.values, want)
+    t = np.random.default_rng(3).uniform(0.0, reach, 200)
+    assert (mod(t) >= modulus_at(dist, running, t)).all()
 
 
 # ---------------------------------------------------------------------- #
@@ -238,7 +278,7 @@ def calibrated(line):
     x = line.axis_coords(0)
     alpha = ScalarField(line, np.minimum(x, 1.0 - x))
     base = build_whitney_eta(line, epsilon=0.25)
-    mod = estimate_modulus(alpha, bins=32)
+    mod = estimate_modulus(alpha, base.values.max())
     return alpha, mod, base, calibrated_eta(line, alpha, mod, base)
 
 
@@ -264,13 +304,35 @@ def test_calibrated_identity_modulus(line):
     assert (prof.values[inside] <= sigma.values[inside]).all()
 
 
+def test_calibrated_refuses_modulus_short_of_base(line):
+    # beyond its last knot omega is an extrapolation, not a bound
+    x = line.axis_coords(0)
+    alpha = ScalarField(line, np.minimum(x, 1.0 - x))
+    base = build_whitney_eta(line, epsilon=0.25)
+    top = base.values.max()
+    with pytest.raises(ValueError, match="knots end"):
+        calibrated_eta(line, alpha, estimate_modulus(alpha, 0.5 * top), base)
+    calibrated_eta(line, alpha, estimate_modulus(alpha, top), base)
+    for reach in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="reach"):
+            estimate_modulus(alpha, reach)
+
+
+def test_calibrated_zero_bound_gives_zero_step(line):
+    # Theta is every node, so the reach is 0 and so is the step
+    alpha = ScalarField.constant(line, 0.0)
+    base = build_whitney_eta(line, np.ones(line.shape, dtype=bool), epsilon=0.25)
+    prof = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
+    assert (prof.values == 0.0).all()
+
+
 def test_calibrated_vanishes_with_alpha(line):
     x = line.axis_coords(0)
     vals = np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125)
     alpha = ScalarField(line, vals)
     theta = (vals == 0.0) | ~line.inside_mask
     base = build_whitney_eta(line, theta, epsilon=0.25)
-    mod = estimate_modulus(alpha, bins=32)
+    mod = estimate_modulus(alpha, base.values.max())
     prof = calibrated_eta(line, alpha, mod, base)
     assert (prof.values[vals == 0.0] == 0.0).all()
 
@@ -295,6 +357,6 @@ def test_calibrated_requires_matching_base(line):
     x = line.axis_coords(0)
     alpha = ScalarField(line, np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125))
     base = build_whitney_eta(line, epsilon=0.25)  # vanishes on the boundary only
-    mod = estimate_modulus(alpha, bins=16)
+    mod = estimate_modulus(alpha, base.values.max())
     with pytest.raises(ValueError, match="zero set"):
         calibrated_eta(line, alpha, mod, base)

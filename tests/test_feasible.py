@@ -29,7 +29,7 @@ def wedge(line):
 def wedge_setup(line, wedge):
     spec = ConstraintSpec(wedge, "value")
     base = build_whitney_eta(line, spec.theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, 32), base)
+    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
     return spec, cal
 
 
@@ -88,7 +88,7 @@ def test_factor_is_one_on_zero_set(line, kernel1d, wedge_setup, wedge):
     alpha = ScalarField(line, vals)
     spec2 = ConstraintSpec(alpha, "value")
     base = build_whitney_eta(line, spec2.theta_mask, 0.25)
-    cal2 = calibrated_eta(line, alpha, estimate_modulus(alpha, 32), base)
+    cal2 = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
     m, _ = convergence_factor(spec2, cal2, 4, kernel1d)
     assert (m.values[spec2.delta_mask] == 1.0).all()
     assert (m.values >= 1.0).all()
@@ -166,7 +166,7 @@ def test_feasible_smooth_rejects_infeasible(line, kernel1d, wedge_setup, wedge):
 def test_feasible_smooth_gradient_mode(line, kernel1d, wedge):
     spec = ConstraintSpec(wedge, "gradient")
     base = build_whitney_eta(line, ConstraintSpec(wedge, "value").theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, 32), base)
+    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
     x = line.axis_coords(0)
     prim = np.where(x <= 0.5, x * x / 2, 0.25 - (1 - x) ** 2 / 2)
     g, info = feasible_smooth(ScalarField(line, 0.9 * prim), spec, cal, kernel1d, 8)
@@ -191,7 +191,7 @@ def test_iterates_vanish_on_interior_zero_set(line, kernel1d):
     alpha = ScalarField(line, vals)
     spec = ConstraintSpec(alpha, "value")
     base = build_whitney_eta(line, spec.theta_mask, 0.25)
-    cal = calibrated_eta(line, alpha, estimate_modulus(alpha, 32), base)
+    cal = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
     f = ScalarField(line, 0.9 * vals)
     g, _ = feasible_smooth(f, spec, cal, kernel1d, 4)
     assert (g.values[spec.delta_mask] == 0.0).all()
@@ -221,7 +221,7 @@ def test_density_study_truncated(line, kernel1d, wedge_setup, wedge):
 def test_density_study_gradient(line, kernel1d, wedge):
     spec = ConstraintSpec(wedge, "gradient")
     base = build_whitney_eta(line, ConstraintSpec(wedge, "value").theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, 32), base)
+    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
     x = line.axis_coords(0)
     prim = np.where(x <= 0.5, x * x / 2, 0.25 - (1 - x) ** 2 / 2)
     rep = density_study(ScalarField(line, 0.9 * prim), spec, cal, kernel1d,

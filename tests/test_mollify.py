@@ -261,17 +261,24 @@ def test_thread_count_does_not_change_bits(quad_cfg, monkeypatch):
     assert np.array_equal(a, b)
 
 
-def test_worker_slices_are_whole_sweep_blocks(monkeypatch):
+def test_worker_slices_are_near_equal(monkeypatch):
     # only slices are made here; no thread is started
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     block = _sampling._BLOCK
     for m in (1, block, 2 * block - 1):
         assert _chunks(m, 8) == [slice(0, m)]
-    for m, threads, count in ((2 * block, 2, 2), (5 * block + 3, 4, 3), (100 * block, 8, 8)):
+    # no sliver: 128^2's 8,464 active points, and one point past two blocks
+    assert _chunks(2 * block + 272, 2) == [slice(0, block + 136),
+                                           slice(block + 136, 2 * block + 272)]
+    assert _chunks(2 * block + 1, 2) == [slice(0, block), slice(block, 2 * block + 1)]
+    for m, threads, count in ((2 * block, 2, 2), (5 * block + 3, 4, 4), (5 * block + 3, 8, 5),
+                              (100 * block, 8, 8)):
         slices = _chunks(m, threads)
         assert len(slices) == count
         assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
-        assert all(sl.start % block == 0 for sl in slices) and slices[-1].stop == m
+        assert slices[-1].stop == m
+        sizes = [sl.stop - sl.start for sl in slices]
+        assert min(sizes) >= block and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("threads", [3, 1000, 10**6])
