@@ -29,6 +29,9 @@ the bits are the same.  The candidate tables grow with the pairs, so mask
 blocks are split into sub-blocks of about ``_BLOCK_PAIRS`` pairs.  A plain
 callable has the coordinate as its axis half and is called once per node on
 the stacked coordinates.
+
+``column_sums`` scatters the transpose of a grid sweep's weighted sum over
+the same cells.
 """
 
 from __future__ import annotations
@@ -270,6 +273,27 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
     return total, lo, hi, pairs
 
 
+def column_sums(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray, kernel: Kernel,
+                dom: Domain, clamp: bool) -> np.ndarray:
+    """Per flat node of ``dom``'s grid, the column sum of a ``GridSample``
+    sweep's weighted sum over ``act_idx`` as a linear map of the node values
+    (the hull clamp left out): ``coeffs_k`` times the multilinear corner
+    weights of each ``points[i] - step[i] * nodes[k]``, taken through the
+    sweep's own ``Domain._axis_cells`` and scattered by ``Domain._spread``.
+    One thread, blocks of ``_BLOCK`` points."""
+    axis_values = _axis_values(kernel.nodes)
+    total = np.zeros(dom.inside_mask.size)
+    for start in range(0, len(act_idx), _BLOCK):
+        idx = act_idx[start:start + _BLOCK]
+        x, s = points[idx], step[idx]
+        tables = [(which, [dom._axis_cells(axis, x[:, axis] - s * z, clamp)[:2] for z in values])
+                  for axis, (values, which) in enumerate(axis_values)]
+        for k, c in enumerate(kernel.coeffs):
+            cells = [entries[which[k]] for which, entries in tables]
+            total += dom._spread(reduce(np.add, [i for i, _ in cells]), [t for _, t in cells], c)
+    return total
+
+
 class Sweep(NamedTuple):
     """Per-point results of one sweep, one row per sampled field.
 
@@ -289,6 +313,12 @@ class Sweep(NamedTuple):
     zdot: np.ndarray | None
 
 
+def smoothed(step: np.ndarray, h: float) -> np.ndarray:
+    """The subgrid guard: the points an average samples, those with a step
+    of at least one grid spacing ``h``; every other point is the identity."""
+    return step >= h
+
+
 def _average(points, step, kernel: Kernel, sample_fns, identity_values, h: float,
              threads: int, pairs: bool) -> Sweep:
     points = np.atleast_2d(points)
@@ -296,7 +326,7 @@ def _average(points, step, kernel: Kernel, sample_fns, identity_values, h: float
     lo, hi = values.copy(), values.copy()
     clamped = np.zeros(values.shape)
     zdot = np.zeros(len(points)) if pairs else None
-    active = step >= h
+    active = smoothed(step, h)
     act_idx = np.flatnonzero(active)
     if len(act_idx):
         total, lo_a, hi_a, pair_sum = _sweep(
@@ -319,7 +349,9 @@ def variable_step_average(points: np.ndarray, step: np.ndarray, kernel: Kernel,
 
     ``values[f, i] = sum_k coeff_k * sample_fns[f](points[i] - step[i] * z_k)``,
     clamped into the hull of the samples; ``identity_values`` holds one row
-    per field.  Points with ``step[i] < h`` are not sampled.
+    per field.  The subgrid guard is part of the operator: a point with
+    ``step[i] < h`` is not sampled and keeps its identity value, and these
+    guarded columns carry the L1 norm's excess over 1 (see ``column_sums``).
     """
     return _average(points, step, kernel, sample_fns, identity_values, h, threads, False)
 

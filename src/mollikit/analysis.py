@@ -1,7 +1,7 @@
 """Norm diagnostics and the quantitative operator studies.
 
 Covers discrete Lp / Sobolev / total-variation norms, the weak-L1 inequality
-with its covering constant, the L1 operator-norm estimator with its
+with its covering constant, the exact L1 operator norm with its
 quadratic-decay bound, the 1D integrability counterexample, and generic
 convergence studies producing bound-checked reports.
 """
@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
+from ._sampling import column_sums, smoothed
 from .eta import EtaProfile
-from .grid import Domain, ScalarField, _ball_members, gradient_central
+from .grid import Domain, ScalarField, gradient_central
 from .kernels import Kernel, make_kernel, profile_value, unit_ball_volume
 from .mollify import MollifierConfig, _mollify_sweep, mollify
 
@@ -34,10 +34,6 @@ __all__ = [
     "trace_check",
     "NORM_TOKENS",
 ]
-
-
-# Lattice points per KD-tree ball query in the L1 column mass.
-_COLUMN_BLOCK = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -203,115 +199,55 @@ def weak_l1_check(f: ScalarField, cfg: MollifierConfig,
 # L1 operator norm
 
 
-def _scaled_quadratic_setup(cfg: MollifierConfig):
-    """Rescale coordinates so max sigma < 1/8, preserving kappa."""
+def _operator_columns(cfg: MollifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The column sums ``T^T 1`` of the linear part of ``mollify`` over the
+    inside rows, per flat grid node, and the mask of the inside nodes it
+    smooths (step >= h); every other inside row is the identity."""
     dom = cfg.domain
-    sigma = dom.sigma().values
-    smax = float(sigma[dom.inside_mask].max())
-    scale = 1.0 / (8.0 * smax * (1.0 + 1e-9))
-    bbox = tuple((lo * scale, hi * scale) for lo, hi in dom.bbox)
-    dom2 = Domain(dom.kind, bbox, dom.shape, dom.inside_mask.copy(), dom.delta_mask)
-    eta2 = cfg.eta.values * scale * scale
-    return dom2, eta2, scale
+    step = cfg.step_inside()
+    active = smoothed(step, dom.h)
+    columns = column_sums(dom.node_coords(), step, np.flatnonzero(active), cfg.kernel, dom,
+                          cfg.allow_boundary_step)
+    columns[np.flatnonzero(dom.inside_mask)[~active]] += 1.0
+    return columns, active
 
 
-def _column_mass(dom: Domain, eta_values: np.ndarray, n: int, kernel: Kernel,
-                 probes: np.ndarray, probe_steps: np.ndarray,
-                 refine: int = 4) -> tuple[np.ndarray, int]:
-    """Riemann sum of C(x) rho((x-y)/s(x)) over {x : |x-y| < s(x)} per probe,
-    and the number of lattice points with a resolved step that enter it.
-
-    Integrates on a midpoint lattice ``refine`` times finer than the grid
-    (the integrand varies on the scale of the step, which can sit near one
-    cell).  Only points whose averaging ball is grid-resolved (step >= h)
-    enter; the operator acts as the identity elsewhere, so a probe in the
-    unresolved region carries its identity column mass 1.
-
-    The sum is taken in scatter form, the transpose of the operator: each
-    lattice point spreads its kernel onto the probes inside its own ball,
-    found through a KD-tree over the probes.
-    """
-    h = dom.h
-    out = np.where(probe_steps < h, 1.0, 0.0)
-
-    axes = []
-    for (lo, hi), m in zip(dom.bbox, dom.shape):
-        cells = (m - 1) * refine
-        axes.append(lo + (np.arange(cells) + 0.5) * (hi - lo) / cells)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    s = dom.interpolate(eta_values, pts) / n
-    keep = s >= h
-    resolved = int(np.count_nonzero(keep))
-    if not resolved:
-        return out, 0
-    pts, s = pts[keep], s[keep]
-    c = kernel.m_rho / s ** dom.dim
-    cellvol = dom.cell_volume / refine ** dom.dim
-
-    tree = cKDTree(probes)
-    total = np.zeros(len(probes))
-    # blocks bound the Python lists the ball queries return
-    for start in range(0, len(pts), _COLUMN_BLOCK):
-        x = pts[start:start + _COLUMN_BLOCK]
-        sx = s[start:start + _COLUMN_BLOCK]
-        counts, j = _ball_members(tree, x, sx)
-        i = np.repeat(np.arange(len(x)), counts)
-        d2 = ((x[i] - probes[j]) ** 2).sum(axis=1)
-        m = d2 < sx[i] ** 2
-        i, j = i[m], j[m]
-        r2 = d2[m] / (sx[i] * sx[i])
-        w = c[start + i] * profile_value(kernel.profile, r2, kernel.n)
-        total += np.bincount(j, weights=w, minlength=len(probes))
-    return out + cellvol * total, resolved
-
-
-def l1_operator_norm_report(cfg: MollifierConfig, probe_count: int = 100,
-                            seed: int = 0) -> dict:
-    """Estimate the L1 operator norm and compare against the quadratic-decay
+def l1_operator_norm_report(cfg: MollifierConfig) -> dict:
+    """The exact L1 operator norm of ``mollify``, against the quadratic-decay
     bound m_rho (omega_N + omega_N N ln(2/kappa)).
 
-    The domain is rescaled so the boundary distance stays below 1/8 (the
-    regime the bound is derived in) with the step scaled to keep its
-    quadratic certificate, then the column-integral sup is taken over every
-    node in the near-boundary shell plus seeded interior probes.  Raises if
-    the estimate exceeds the bound by more than 10%.
+    The norm is the largest of ``_operator_columns``: every weight is a
+    kernel coefficient times multilinear corner weights, all >= 0, so this
+    is the l1 -> l1 norm on the node values, the hull clamp left out.  The
+    columns of the subgrid guard's identity rows near the threshold carry
+    its excess over 1.  Raises if it exceeds the bound by more than 10%.
     """
     if cfg.eta.decay != "quadratic" or cfg.eta.kappa is None:
         raise ValueError("operator-norm estimate needs a certified quadratic step")
     kappa = cfg.eta.kappa
-    dim = cfg.domain.dim
+    dom = cfg.domain
+    dim = dom.dim
     omega = unit_ball_volume(dim)
-    dom2, eta2, scale = _scaled_quadratic_setup(cfg)
     nval = cfg.n if cfg.n is not None else 1
-    step = eta2[dom2.inside_mask] / nval
-    refine = 8 if dim == 1 else (4 if dim == 2 else 2)
-
-    sigma2 = dom2.sigma().values[dom2.inside_mask]
-    shell = sigma2 <= dom2.diameter / 8.0
-    coords = dom2.node_coords(dom2.inside_mask)
-    rng = np.random.default_rng(seed)
-    interior_idx = rng.choice(len(coords), size=min(probe_count, len(coords)),
-                              replace=False)
-    probe_idx = np.unique(np.concatenate([np.flatnonzero(shell), interior_idx]))
-    probes = coords[probe_idx]
-
-    per_probe, resolved = _column_mass(dom2, eta2, nval, cfg.kernel, probes,
-                                       step[probe_idx], refine)
-    estimate = float(per_probe.max())
+    columns, active = _operator_columns(cfg)
+    j = int(np.argmax(columns))
+    estimate = float(columns[j])
     bound = cfg.kernel.m_rho * (omega + omega * dim * math.log(2.0 / kappa))
     if estimate > bound * 1.1:
         raise InvariantViolation(
             f"L1 operator-norm estimate {estimate} exceeds bound {bound} by >10%")
 
+    active_columns = columns[np.flatnonzero(dom.inside_mask)[active]]
+    node = np.unravel_index(j, dom.shape)
     return {
         "estimate": estimate,
         "bound": bound,
-        "scale": scale,
         "kappa": kappa,
         "n": nval,
-        "probes": int(len(probes)),
-        "resolved_points": resolved,
+        "active_nodes": int(active.sum()),
+        "active_column_max": float(active_columns.max()) if active.any() else None,
+        "argmax_node": [float(dom.axis_coords(a)[i]) for a, i in enumerate(node)],
+        "argmax_step_over_h": float(cfg.eta.values[node] / nval / dom.h),
         "limit_bound": cfg.kernel.m_rho * omega * (1.0 + dim * math.log(1.0 / kappa)),
     }
 

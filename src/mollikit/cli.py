@@ -97,10 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_study)
 
-    sp = sub.add_parser("norm1", help="L1 operator-norm estimate vs bound")
-    common(sp, "--domain", "--kernel", "--threads", "--seed")
+    sp = sub.add_parser("norm1", help="exact L1 operator norm vs bound")
+    common(sp, "--domain", "--kernel", "--threads")
     sp.add_argument("--eta", default='{"builder": "quadratic", "epsilon": 0.1}')
-    sp.add_argument("--probes", type=int, default=100)
+    sp.add_argument("--probes", type=int, default=100,
+                    help="ignored, as the norm is exact (kept for old command lines)")
+    sp.add_argument("--seed", type=int, default=0, help="ignored, as --probes")
     sp.add_argument("--n", default="none")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_norm1)
@@ -156,9 +158,12 @@ def _parse_n(token: str):
 
 
 def _parse_n_list(token: str) -> list[int]:
+    """The family indices of a study: two or more, each at least 1, strictly
+    increasing, so that the decay checks compare a first and a last n."""
     n_list = [int(t) for t in token.split(",") if t]
-    if not n_list or min(n_list) < 1:
-        raise ValueError(f"family index n must be a positive integer, got --n {token!r}")
+    if len(n_list) < 2 or min(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"--n needs two or more family index values, positive integers "
+                         f"in strictly increasing order, got --n {token!r}")
     return n_list
 
 
@@ -320,7 +325,7 @@ def cmd_norm1(args) -> int:
     kernel = _load_kernel(args, dom.dim)
     prof = _eta_from_spec(args.eta, dom, kernel)
     cfg = MollifierConfig(kernel, prof, n=_parse_n(args.n))
-    report = analysis.l1_operator_norm_report(cfg, args.probes, args.seed)
+    report = analysis.l1_operator_norm_report(cfg)
     _dump(report, args.out, args)
     return 0
 
@@ -398,8 +403,7 @@ def cmd_selftest(args) -> int:
         ["L2", "W12"], "sin", threads=threads)
     checks.add_check("convergence monotone", 0.0 if study.passed() else 1.0, 0.0)
 
-    rep = analysis.l1_operator_norm_report(MollifierConfig(kernel, quad, n=1),
-                                           probe_count=40, seed=args.seed)
+    rep = analysis.l1_operator_norm_report(MollifierConfig(kernel, quad, n=1))
     checks.add_check("operator norm vs bound", rep["estimate"], rep["bound"] * 1.1)
     checks.add_check("constant-step normalization",
                      abs(analysis.constant_step_probe(kernel) - 1.0), 0.0, 1e-12)

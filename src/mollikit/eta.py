@@ -269,22 +269,26 @@ class ModulusOfContinuity:
             raise ValueError("modulus knots and values must be strictly increasing")
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.knots, self.values)
-        beyond = t > self.knots[-1]
-        if beyond.any():
-            slope = (self.values[-1] - self.values[-2]) / (self.knots[-1] - self.knots[-2])
-            out = np.where(beyond, self.values[-1] + slope * (t - self.knots[-1]), out)
-        return out
+        return _continued(t, self.knots, self.values)
 
     def inverse(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.interp(v, self.values, self.knots)
-        beyond = v > self.values[-1]
-        if beyond.any():
-            slope = (self.knots[-1] - self.knots[-2]) / (self.values[-1] - self.values[-2])
-            out = np.where(beyond, self.knots[-1] + slope * (v - self.values[-1]), out)
-        return out
+        return _continued(v, self.values, self.knots)
+
+
+def _continued(x, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The piecewise-linear map through ``(xs, ys)`` at ``x``, continued
+    beyond the last knot along the last segment.  A one-knot modulus has no
+    segment, so it is defined only at its knot."""
+    x = np.asarray(x, dtype=float)
+    out = np.interp(x, xs, ys)
+    beyond = x > xs[-1]
+    if beyond.any():
+        if len(xs) < 2:
+            raise ValueError(f"one-knot modulus: {float(np.max(x))} lies beyond its only "
+                             f"knot {xs[-1]}")
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        out = np.where(beyond, ys[-1] + slope * (x - xs[-1]), out)
+    return out
 
 
 FLOOR_SLOPE = 1e-12

@@ -46,7 +46,8 @@ pair, and a last-axis step is one gather from it and one from the stack at
 the pair's lower corner: the subtraction a per-point gather would make,
 made once per node of the grid instead of once per sample.  ``interpolate``
 builds the tables per call; the sweep builds them once for all its kernel
-nodes.  The contract is exactness, not closeness: a value depends only on
+nodes.  ``Domain._spread`` is the transpose of the blend: it scatters each
+point's corner weights onto the node array with ``np.bincount``.  The contract is exactness, not closeness: a value depends only on
 the point and the node array, never on which other points or fields are
 sampled with it, and constant data interpolates exactly.
 """
@@ -184,10 +185,6 @@ class Domain:
         return float(self.spacing.max())
 
     @property
-    def diameter(self) -> float:
-        return float(np.sqrt(((self.hi - self.lo) ** 2).sum()))
-
-    @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -311,8 +308,13 @@ class Domain:
 
     def _mask_candidates(self, points: np.ndarray, radius: np.ndarray):
         """Per point, the number of boundary midpoints within ``radius`` of
-        it, and their rows of ``_boundary_tree().data``, point after point."""
-        return _ball_members(self._boundary_tree(), points, radius)
+        it, and their rows of ``_boundary_tree().data``, point after point
+        (in no fixed order within one point's ball)."""
+        found = self._boundary_tree().query_ball_point(points, radius, workers=1,
+                                                       return_sorted=False)
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        return counts, np.fromiter(chain.from_iterable(found), dtype=np.intp,
+                                   count=int(counts.sum()))
 
     @staticmethod
     def _mask_sigma_axis(coords: np.ndarray, owner: np.ndarray,
@@ -412,6 +414,16 @@ class Domain:
             vals = vals[1::2]
         return vals[0]
 
+    def _spread(self, base: np.ndarray, fracs, weight: float) -> np.ndarray:
+        """The transpose of ``_blend`` for one field: ``weight`` times each
+        point's multilinear corner weights (products over the axes of ``1 -
+        t`` and ``t``), summed per flat grid node."""
+        weights = [weight]
+        for t in fracs:
+            weights = [w * u for w in weights for u in (1.0 - t, t)]
+        at = np.concatenate([base + (p + c) for p in self._pair_corners for c in (0, 1)])
+        return np.bincount(at, weights=np.concatenate(weights), minlength=self.inside_mask.size)
+
     @cached_property
     def _strides(self) -> tuple[int, ...]:
         """Flat-index stride of each axis of a C-ordered node array."""
@@ -437,21 +449,20 @@ def _nearest_distance(tree: cKDTree, points: np.ndarray) -> np.ndarray:
     return tree.query(points, workers=1)[0]
 
 
-def _ball_members(tree: cKDTree, points: np.ndarray,
-                  radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the number of points held by ``tree`` within ``radius`` of
-    it, and their rows of ``tree.data``, point after point (in no fixed
-    order within one point's ball)."""
-    found = tree.query_ball_point(points, radius, workers=1, return_sorted=False)
-    counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-    return counts, np.fromiter(chain.from_iterable(found), dtype=np.intp,
-                               count=int(counts.sum()))
+def _exact_int(value) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part;
+    bools and other values are refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"need an integer, got {value!r}")
 
 
 def _resolution_tuple(resolution, dim: int) -> tuple[int, ...]:
     if np.isscalar(resolution):
-        return (int(resolution),) * dim
-    res = tuple(int(r) for r in resolution)
+        return (_exact_int(resolution),) * dim
+    res = tuple(_exact_int(r) for r in resolution)
     if len(res) != dim:
         raise ValueError("resolution length must match bbox length")
     return res

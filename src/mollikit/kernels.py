@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _check_keys, _spec_value
+from .grid import _check_keys, _exact_int, _spec_value
 
 __all__ = ["Kernel", "make_kernel", "kernel_moment", "unit_ball_volume", "kernel_from_json"]
 
@@ -163,6 +163,6 @@ def kernel_from_json(spec) -> Kernel:
     if isinstance(spec, str):
         spec = json.loads(spec)
     _check_keys(spec, ("profile", "order", "n", "dim"))
-    return make_kernel(_spec_value(spec, "profile", str), _spec_value(spec, "dim", int, 1),
-                       _spec_value(spec, "order", int),
-                       _spec_value(spec, "n", lambda n: None if n is None else int(n), None))
+    return make_kernel(_spec_value(spec, "profile", str), _spec_value(spec, "dim", _exact_int, 1),
+                       _spec_value(spec, "order", _exact_int),
+                       _spec_value(spec, "n", lambda n: None if n is None else _exact_int(n), None))

@@ -94,10 +94,12 @@ def _sample_closure(f, clamp: bool):
 def mollify(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> ScalarField:
     """Apply the smoothing operator to a sampled field.
 
-    Nodes with zero step keep their value exactly; nodes whose step is below
-    one grid spacing are returned unchanged (the operator is near-identity
-    there and interpolation noise would dominate);
-    ``mollify_with_report`` counts them as ``flagged_subgrid_nodes``.
+    The subgrid guard is part of the operator: a node whose step is zero or
+    below one grid spacing keeps its value exactly, and
+    ``mollify_with_report`` counts the nonzero ones as
+    ``flagged_subgrid_nodes``.  A guarded column keeps its own weight 1 and
+    also takes weight from smoothed neighbours, so the guarded columns carry
+    the L1 norm's excess over 1 (``l1_operator_norm_report``).
     """
     return _mollify_sweep(f, cfg, threads)[0]
 
@@ -178,8 +180,9 @@ def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig,
     Componentwise smoothing of the input gradient plus the step-variation
     correction ``(grad eta / n) * sum_k coeff_k (-z_k) . grad f(x - s z_k)``;
     the substituted form never divides by the step, so nothing blows up
-    where the step vanishes.  Nodes under the subgrid guard return the input
-    gradient unchanged.
+    where the step vanishes.  The subgrid guard is part of the operator, as
+    in ``mollify``: a node whose step is below one grid spacing returns the
+    input gradient unchanged.
     """
     dom = cfg.domain
     grad_tf, _ = _gradient_sweep(grad_f, [], cfg, threads)

@@ -6,7 +6,10 @@ library did before all of them were folded into ``mollikit._sampling``:
 the weighted average with its hull clamp, the mirror-pair z-dot sum (which
 samples each gradient component again), the ball max, and the oscillation
 loop of the boundary-trace check.  The arithmetic per (point, node) is the
-same, so the library must agree with these bit for bit.  Grid fields are
+same, so the library must agree with these bit for bit.  ``column_sums``
+adds up the weighted average's own weights corner by corner, the reference
+for the exact L1 norm; its terms are the library's, summed in another
+order, so the two agree to rounding.  Grid fields are
 sampled through ``interpolate`` below, the tuple-gather interpolation that
 ``Domain.interpolate`` replaced with its flat gather; ``flat_blend`` keeps
 that flat gather of every cell corner, which the last-axis difference
@@ -300,6 +303,41 @@ def convergence_factor(spec, eta, n, kernel, threads=1):
     m[dom.inside_mask] = ratios
     m[theta] = 1.0
     return m, float(np.abs(ratios - 1.0).max())
+
+
+def column_sums(cfg):
+    """Per grid node, the column sum of the linear part of ``mollify`` over
+    the inside rows, as ``sum_k c_k I_k^T 1`` with ``I_k`` the interpolation
+    at ``x - s z_k``: for each kernel node, every smoothed node x (step s >=
+    h) adds c_k times the multilinear weight of each cell corner of ``x - s
+    z_k``, one corner at a time with ``np.add.at``; every other inside node
+    then adds 1 to its own column."""
+    dom = cfg.domain
+    out = np.zeros(dom.shape)
+    step = cfg.step_inside()
+    active = step >= dom.h
+    x = dom.node_coords()[active]
+    s = step[active][:, None]
+    for z, c in zip(cfg.kernel.nodes, cfg.kernel.coeffs):
+        column = np.zeros(dom.shape)
+        y = x - s * z
+        if cfg.allow_boundary_step:
+            y = np.clip(y, dom.lo, dom.hi)
+        idx, frac = [], []
+        for axis in range(dom.dim):
+            t = (y[:, axis] - dom.bbox[axis][0]) / dom.spacing[axis]
+            i0 = np.clip(np.floor(t).astype(np.int64), 0, dom.shape[axis] - 2)
+            idx.append(i0)
+            frac.append(t - i0)
+        for corner in product((0, 1), repeat=dom.dim):
+            w = np.full(len(x), c)
+            for t, b in zip(frac, corner):
+                w = w * (t if b else 1.0 - t)
+            np.add.at(column, tuple(i + b for i, b in zip(idx, corner)), w)
+        out += column
+    nodes = np.argwhere(dom.inside_mask)  # in the order of node_coords
+    out[tuple(nodes[~active].T)] += 1.0
+    return out.reshape(-1)
 
 
 def average_entry(points, step, kernel, sample_fns, identity_values, h, threads=1):

@@ -214,15 +214,19 @@ def test_criterion_5_operator_norm(line1024, square128, k1, k2, quad1d, quad2d_s
     ok = True
     details = []
     for dom, kernel, prof in ((line1024, k1, quad1d), (square128, k2, quad2d_small)):
-        reports = {n: l1_operator_norm_report(MollifierConfig(kernel, prof, n=n),
-                                              probe_count=100)
-                   for n in (1, 4, 16)}
-        est = [reports[n]["estimate"] for n in (1, 4, 16)]
-        ok &= est[0] <= reports[1]["bound"] * 1.1
-        ok &= est[0] >= est[1] - 1e-6 and est[1] >= est[2] - 1e-6
-        ok &= est[2] <= reports[16]["limit_bound"] * 1.1
-        details.append(f"{dom.dim}D est {est[0]:.4f}/{est[1]:.4f}/{est[2]:.4f} "
-                       f"bound {reports[1]['bound']:.2f}")
+        # the exact norm peaks on columns the subgrid guard leaves as the
+        # identity and need not decrease in n; the smoothed columns do
+        reports = [l1_operator_norm_report(MollifierConfig(kernel, prof, n=n))
+                   for n in (1, 4, 16)]
+        est = [r["estimate"] for r in reports]
+        smoothed = [r["active_column_max"] for r in reports]
+        ok &= all(r["active_nodes"] > 0 and r["estimate"] <= r["bound"] * 1.1
+                  for r in reports)
+        ok &= smoothed[0] >= smoothed[1] - 1e-6 and smoothed[1] >= smoothed[2] - 1e-6
+        ok &= smoothed[2] <= reports[2]["limit_bound"] * 1.1
+        details.append(f"{dom.dim}D norm {est[0]:.4f}/{est[1]:.4f}/{est[2]:.4f}, smoothed "
+                       f"columns {smoothed[0]:.4f}/{smoothed[1]:.4f}/{smoothed[2]:.4f}, "
+                       f"bound {reports[0]['bound']:.2f}")
     report(5, "L1 operator norm", ok, "; ".join(details))
 
 

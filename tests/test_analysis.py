@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from mollikit import _sampling
 from mollikit.analysis import (InvariantViolation, constant_step_probe,
                                convergence_study, counterexample_run, f0,
                                f0_l1_tail, field_difference,
                                l1_operator_norm_report, norm, norm_by_token,
                                tf0_closed, tf0_quadrature, trace_check,
-                               weak_l1_check, _column_mass,
-                               _scaled_quadratic_setup)
+                               weak_l1_check, _operator_columns)
 from mollikit.eta import build_whitney_eta, quadratic_eta
 from mollikit.grid import Domain, ScalarField, gradient_central
 from mollikit.kernels import make_kernel
 from mollikit.mollify import MollifierConfig, modified_config, mollify
 
-from column_mass_oracle import column_mass as oracle_column_mass
+from sampling_oracle import column_sums as oracle_column_sums
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_operator_norm_bound_formula(line, kernel1d):
     # eps = 1/3 gives kappa = 1/4, bound = m_rho (2 + 2 ln 8)
     prof = quadratic_eta(line, 1.0 / 3.0)
     cfg = MollifierConfig(kernel1d, prof, n=1)
-    rep = l1_operator_norm_report(cfg, probe_count=50)
+    rep = l1_operator_norm_report(cfg)
     est, bound = rep["estimate"], rep["bound"]
     assert bound == pytest.approx(kernel1d.m_rho * (2 + 2 * math.log(8)), rel=1e-6)
     assert bound == pytest.approx(kernel1d.m_rho * 6.159, rel=1e-3)
@@ -134,24 +134,49 @@ def test_operator_norm_bound_formula(line, kernel1d):
 
 
 def test_operator_norm_family_estimates(line, kernel1d, quad_prof):
-    reports = [l1_operator_norm_report(MollifierConfig(kernel1d, quad_prof, n=n),
-                                       probe_count=50) for n in (1, 4, 16)]
-    ests = [r["estimate"] for r in reports]
-    assert ests[0] >= ests[1] - 1e-9 and ests[1] >= ests[2] - 1e-9
-    assert ests[-1] <= reports[-1]["limit_bound"] * 1.1
+    # the norm itself is not monotone in n: its maximum sits on a column the
+    # subgrid guard leaves as the identity; the smoothed columns decrease
+    reports = [l1_operator_norm_report(MollifierConfig(kernel1d, quad_prof, n=n))
+               for n in (1, 4, 16)]
+    for rep in reports:
+        assert rep["active_nodes"] > 0
+        assert rep["estimate"] <= rep["bound"] * 1.1
+    smoothed = [r["active_column_max"] for r in reports]
+    assert smoothed[0] >= smoothed[1] - 1e-6 and smoothed[1] >= smoothed[2] - 1e-6
+    assert smoothed[-1] <= reports[-1]["limit_bound"] * 1.1
 
 
 @pytest.mark.parametrize("dim,res,order,n,resolved", [
     (2, 49, 12, 4, False), (3, 25, 6, 4, False), (2, 96, 24, None, True)])
 def test_operator_norm_report_counts_resolved_points(dim, res, order, n, resolved):
-    # with no resolved lattice point the estimate is the identity's 1.0,
-    # whatever the operator does on the raw grid
+    # the report counts the inside nodes whose step is resolved (at least one
+    # cell); `resolved` says whether every node the unrefined step eta
+    # resolves stays resolved at this n.  The maximum runs over every column,
+    # the guarded identity columns included
     dom = Domain.box([(0.0, 1.0)] * dim, res)
-    cfg = MollifierConfig(make_kernel("bump", dim, order), quadratic_eta(dom, 0.1), n=n)
-    rep = l1_operator_norm_report(cfg)
-    assert (rep["resolved_points"] > 0) == resolved
-    if not resolved:
-        assert rep["estimate"] == 1.0
+    prof = quadratic_eta(dom, 0.1)
+    rep = l1_operator_norm_report(MollifierConfig(make_kernel("bump", dim, order),
+                                                  prof, n=n))
+    eta = prof.values[dom.inside_mask]
+    step = eta / n if n is not None else eta
+    assert rep["active_nodes"] == np.count_nonzero(step >= dom.h) > 0
+    assert (rep["active_nodes"] == np.count_nonzero(eta >= dom.h)) == resolved
+    assert rep["estimate"] >= max(1.0, rep["active_column_max"])
+
+
+def test_operator_norm_report_counts_active_nodes():
+    # the norm of the configured operator, guard included: at n = 16 every
+    # step of the 25^3 box is below one cell, so the operator is the identity
+    dom = Domain.box([(0.0, 1.0)] * 3, 25)
+    prof = quadratic_eta(dom, 0.1)
+    kernel = make_kernel("bump", 3, 6)
+    rep = l1_operator_norm_report(MollifierConfig(kernel, prof, n=1))
+    assert rep["active_nodes"] == 2197
+    assert rep["estimate"] == pytest.approx(1.1797, abs=5e-5)
+    assert 0.0 < rep["argmax_step_over_h"] < 1.0  # a guarded column
+    rep = l1_operator_norm_report(MollifierConfig(kernel, prof, n=16))
+    assert rep["active_nodes"] == 0 and rep["active_column_max"] is None
+    assert rep["estimate"] == 1.0
 
 
 def test_operator_norm_requires_quadratic(line, kernel1d):
@@ -160,24 +185,18 @@ def test_operator_norm_requires_quadratic(line, kernel1d):
         l1_operator_norm_report(MollifierConfig(kernel1d, prof, n=1))
 
 
-def test_more_probes_never_decrease_estimate(line, kernel1d, quad_prof):
-    cfg = MollifierConfig(kernel1d, quad_prof, n=1)
-    step = cfg.step_inside()
-    coords = line.node_coords(line.inside_mask)
-    few = coords[::64]
-    many = coords[::16]
-    m_few = _column_mass(line, quad_prof.values, 1, kernel1d, few, step[::64])[0].max()
-    m_many = _column_mass(line, quad_prof.values, 1, kernel1d, many, step[::16])[0].max()
-    assert m_many >= m_few
+_COLUMN_GRIDS = {1: (129, 32), 2: (49, 12), 3: (25, 6)}  # nodes, kernel order
 
 
-_COLUMN_GRIDS = {1: (129, 32, 8), 2: (49, 12, 4), 3: (25, 6, 2)}  # nodes, order, refine
-
-
-def _column_mass_setups(kind, dim, profile):
-    """The raw and the rescaled (domain, eta, kernel, probes, refine) of a
-    quadratic step, probes being seeded inside nodes plus the bbox corner."""
-    res, order, refine = _COLUMN_GRIDS[dim]
+@pytest.mark.parametrize("kind", ["box", "ball", "mask"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("profile", ["bump", "box", "plateau"])
+def test_column_mass_matches_brute_force_oracle(kind, dim, profile, monkeypatch):
+    """The scattered column sums and the report against the corner weights
+    of every (point, kernel node) added one at a time: the terms are the
+    same, only the order of summation differs (small blocks split it)."""
+    monkeypatch.setattr(_sampling, "_BLOCK", 512)
+    res, order = _COLUMN_GRIDS[dim]
     bbox = [(0.0, 1.6)] * dim
     if kind == "box":
         dom = Domain.box(bbox, res)
@@ -187,45 +206,20 @@ def _column_mass_setups(kind, dim, profile):
         disk = Domain.ball([(0.0, 1.4)] * dim, res).inside_mask
         dom = Domain.from_mask(bbox, disk)
     kernel = make_kernel(profile, dim, order, 3 if profile == "plateau" else None)
-    cfg = MollifierConfig(kernel, quadratic_eta(dom, 0.1), n=1)
-    coords = dom.node_coords(dom.inside_mask)
-    pick = np.random.default_rng(dim).choice(len(coords), min(len(coords), 120),
-                                             replace=False)
-    dom2, eta2, scale = _scaled_quadratic_setup(cfg)
-    for d, eta, factor in ((dom, cfg.eta.values, 1.0), (dom2, eta2, scale)):
-        probes = np.concatenate([coords[pick] * factor, d.lo[None, :]])
-        yield d, eta, kernel, probes, refine
-
-
-@pytest.mark.parametrize("kind", ["box", "ball", "mask"])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("profile", ["bump", "box", "plateau"])
-def test_column_mass_matches_brute_force_oracle(kind, dim, profile):
-    """The scatter sum against a per-probe sum over every lattice point in
-    lattice order: the terms are the same, only the order of summation
-    differs."""
-    smoothed = 0
-    for dom, eta, kernel, probes, refine in _column_mass_setups(kind, dim, profile):
-        for n in (1, 4):
-            steps = dom.interpolate(eta, probes) / n
-            steps[-1] = dom.h  # the corner probe: resolved, but no ball reaches it
-            got, _ = _column_mass(dom, eta, n, kernel, probes, steps, refine)
-            expect = oracle_column_mass(dom, eta, n, kernel, probes, steps, refine)
-            assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
-            assert got[-1] == 0.0
-            assert (steps < dom.h).any() and (got[steps < dom.h] >= 1.0).all()
-            smoothed += int(((got > 0.0) & (steps >= dom.h)).sum())
-    assert smoothed > 0
-
-
-def test_column_mass_of_a_probe_alone_equals_its_batch_value():
-    dom, eta, kernel, probes, refine = next(_column_mass_setups("mask", 2, "bump"))
-    steps = dom.interpolate(eta, probes)
-    batch, _ = _column_mass(dom, eta, 1, kernel, probes, steps, refine)
-    assert (batch[steps >= dom.h] > 0.0).sum() >= 10
-    for k in range(0, len(probes), 7):
-        alone, _ = _column_mass(dom, eta, 1, kernel, probes[k:k + 1], steps[k:k + 1], refine)
-        assert alone[0] == batch[k]
+    prof = quadratic_eta(dom, 0.1)
+    guarded = smoothed = 0
+    for n in (1, 4):
+        cfg = MollifierConfig(kernel, prof, n=n)
+        got, active = _operator_columns(cfg)
+        expect = oracle_column_sums(cfg)
+        assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+        rep = l1_operator_norm_report(cfg)
+        assert abs(rep["estimate"] - expect.max()) <= 1e-14 * expect.max()
+        assert rep["active_nodes"] == active.sum()
+        step = cfg.step_inside()
+        guarded += int(((step > 0.0) & ~active).sum())
+        smoothed += int(active.sum())
+    assert guarded > 0 and smoothed > 0
 
 
 @pytest.mark.parametrize("profile,dim,order,n", [

@@ -244,7 +244,7 @@ def test_feasible_infeasible_iterate_exits_one(tmp_path, monkeypatch, capsys):
         return True, spec.domain.node_coords()[0], 1.0
 
     monkeypatch.setattr(feasible, "membership", membership)
-    assert cli.main(_feasible_args(tmp_path, "1")) == 1
+    assert cli.main(_feasible_args(tmp_path, "1,2")) == 1
     out = json.loads(capsys.readouterr().out)
     assert "smoothed iterate infeasible" in out["failed_invariant"]
 
@@ -271,6 +271,13 @@ def test_bad_thread_count_is_config_error(threads, capsys):
     ("--domain", {"kind": "mask", "bbox": [[0, 1]], "resolution": [5], "mask": "ones.csv"},
      "'resolution'"),
     ("--eta", {"builder": "calibrated", "bins": 16}, "'bins'"),
+    # counts are whole numbers: no silent truncation, no bool read as 1
+    ("--kernel", {"profile": "bump", "order": 16.7}, "'order'"),
+    ("--kernel", {"profile": "bump", "order": True}, "'order'"),
+    ("--kernel", {"profile": "plateau", "order": 16, "n": 2.5}, "'n'"),
+    ("--kernel", {"profile": "bump", "order": 16, "dim": 1.5}, "'dim'"),
+    ("--domain", {"bbox": [[0, 1]], "resolution": [65.9]}, "'resolution'"),
+    ("--domain", {"bbox": [[0, 1]], "resolution": True}, "'resolution'"),
 ])
 def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, capsys):
     # a spec key of the wrong type or an unknown key names itself; domain
@@ -287,12 +294,14 @@ def test_malformed_spec_is_config_error(flag, spec, key, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("sub, n", [("study", ""), ("study", ","), ("feasible", ""),
-                                    ("feasible", "0")])
+                                    ("feasible", "0"), ("study", "4"), ("study", "4,4"),
+                                    ("feasible", "4,2")])
 def test_empty_or_nonpositive_n_list_is_config_error(sub, n, tmp_path, capsys):
     argv = (["study", "--domain", DOMAIN_65, "--n", n, "--out", str(tmp_path / "s.json")]
             if sub == "study" else _feasible_args(tmp_path, n))
     assert cli.main(argv) == 2
-    assert "family index" in json.loads(capsys.readouterr().err)["config_error"]
+    err = json.loads(capsys.readouterr().err)["config_error"]
+    assert "family index" in err and "--n" in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -326,6 +326,15 @@ def test_calibrated_zero_bound_gives_zero_step(line):
     assert (prof.values == 0.0).all()
 
 
+def test_one_knot_modulus_is_defined_only_at_its_knot(line):
+    mod = estimate_modulus(ScalarField.constant(line, 1.0), 0.0)
+    assert mod.knots.tolist() == [0.0]
+    assert mod(0.0) == 0.0 and mod.inverse(0.0) == 0.0
+    for fn in (mod, mod.inverse):
+        with pytest.raises(ValueError, match="beyond its only knot"):
+            fn(1.0)
+
+
 def test_calibrated_vanishes_with_alpha(line):
     x = line.axis_coords(0)
     vals = np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125)
