@@ -4,9 +4,9 @@
 point: the weighted sum, the hull of the samples and, for gradient stacks,
 the mirror-pair z-dot sum.  The three public entries are thin views of it.
 Every reduction is per evaluation point, so output values do not depend on
-how the point axis is chunked into blocks or across worker threads.  Each
-worker cuts its slice into near-equal blocks of ``_BLOCK`` to ``2 _BLOCK -
-1`` points, so no short tail block pays the per-node cost for a few points.
+how the point axis is cut into blocks.  A sweep runs on the calling thread,
+in near-equal blocks of ``_BLOCK`` to ``2 _BLOCK - 1`` points (``_blocks``),
+so no short tail block pays the per-node cost for a few points.
 
 Every sample is taken in two halves: per block of points, an axis half runs
 once per distinct node coordinate on each axis, on ``x_a - s z_a``; then a
@@ -36,8 +36,6 @@ the same cells.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence
@@ -50,10 +48,10 @@ from .kernels import Kernel
 
 # Points per block of a sweep.  A block's axis tables hold one axis-half
 # entry per distinct node coordinate per axis, each as long as the block, so
-# the block bounds the sweep's memory.  Worker threads are handed near-equal
-# slices of at least _BLOCK points; each slice of m points is cut into max(1,
-# m // _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points (fewer
-# only in a slice shorter than _BLOCK), so no short tail block pays a node loop.
+# the block bounds the sweep's memory.  The m points of a sweep are cut into
+# max(1, m // _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points
+# (fewer only in a sweep shorter than _BLOCK), so no short tail block pays a
+# node loop.
 _BLOCK = 4096
 
 # Candidate pairs per sub-block of a mask distance sweep.  Its axis tables
@@ -62,24 +60,11 @@ _BLOCK = 4096
 _BLOCK_PAIRS = 1 << 14
 
 
-def _chunks(m: int, threads: int) -> list[slice]:
-    """Contiguous near-equal slices of the point axis, one per worker, each
-    of at least one sweep block; never more workers than the CPUs this
-    process may run on, nor than whole blocks, so a sweep of fewer than two
-    blocks stays on the calling thread."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = max(1, min(threads, cpus or 1, m // _BLOCK))
-    bounds = [i * m // threads for i in range(threads + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _run(worker: Callable[[slice], None], m: int, threads: int) -> None:
-    slices = _chunks(m, threads)
-    if len(slices) == 1:
-        worker(slices[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        list(pool.map(worker, slices))
+def _blocks(m: int) -> list[slice]:
+    """The near-equal blocks of a sweep over ``m`` points (see ``_BLOCK``)."""
+    count = max(1, m // _BLOCK)
+    edges = [i * m // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +134,7 @@ def _mask_halves(dom: Domain, reach: float) -> Callable:
     sub-block's candidates are ever listed.  The candidates hold each
     sample's nearest midpoint and the squares are summed in the tree's axis
     order, so every sample is bitwise ``sigma_at``."""
-    tree = dom._boundary_tree()  # built here, before any worker thread
+    tree = dom._boundary_tree()
 
     def split(x: np.ndarray, s: np.ndarray):
         radius = dom._mask_radius(x, reach * s)
@@ -217,7 +202,7 @@ def _axis_values(nodes: np.ndarray) -> list[tuple[np.ndarray, list[int]]]:
 
 def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
            nodes: np.ndarray, coeffs: np.ndarray, sample_fns: Sequence[Callable],
-           threads: int, paired_count: int = 0):
+           paired_count: int = 0):
     """Sample F fields once at each ``points[i] - step[i] * nodes[k]``, i in
     ``act_idx``, in node order.
 
@@ -237,13 +222,6 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
     split = _halves(sample_fns, nodes)
     axis_values = _axis_values(nodes)
 
-    def block(b: slice) -> None:
-        idx = act_idx[b]
-        x, s = points[idx], step[idx]
-        for sub, *halves in split(x, s):
-            sub_block(_block_sampler(halves, axis_values, x[sub], s[sub], nodes),
-                      total[:, b][:, sub], lo[:, b][:, sub], hi[:, b][:, sub], pairs[b][sub])
-
     def sub_block(sample, acc, low, high, pr) -> None:
         for k, z in enumerate(nodes):
             vals = sample(k)
@@ -262,14 +240,11 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
                     diff += za * (vals[axis] - prev[axis])
             pr += coeffs[k - 1] * diff
 
-    def worker(sl: slice) -> None:
-        size = sl.stop - sl.start
-        count = max(1, size // _BLOCK)
-        edges = [sl.start + i * size // count for i in range(count + 1)]
-        for start, stop in zip(edges[:-1], edges[1:]):
-            block(slice(start, stop))
-
-    _run(worker, m, threads)
+    for b in _blocks(m):
+        x, s = points[act_idx[b]], step[act_idx[b]]
+        for sub, *halves in split(x, s):
+            sub_block(_block_sampler(halves, axis_values, x[sub], s[sub], nodes),
+                      total[:, b][:, sub], lo[:, b][:, sub], hi[:, b][:, sub], pairs[b][sub])
     return total, lo, hi, pairs
 
 
@@ -280,7 +255,7 @@ def column_sums(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray, kerne
     (the hull clamp left out): ``coeffs_k`` times the multilinear corner
     weights of each ``points[i] - step[i] * nodes[k]``, taken through the
     sweep's own ``Domain._axis_cells`` and scattered by ``Domain._spread``.
-    One thread, blocks of ``_BLOCK`` points."""
+    In blocks of ``_BLOCK`` points."""
     axis_values = _axis_values(kernel.nodes)
     total = np.zeros(dom.inside_mask.size)
     for start in range(0, len(act_idx), _BLOCK):
@@ -320,7 +295,7 @@ def smoothed(step: np.ndarray, h: float) -> np.ndarray:
 
 
 def _average(points, step, kernel: Kernel, sample_fns, identity_values, h: float,
-             threads: int, pairs: bool) -> Sweep:
+             pairs: bool) -> Sweep:
     points = np.atleast_2d(points)
     values = np.array(identity_values, dtype=float, ndmin=2)
     lo, hi = values.copy(), values.copy()
@@ -330,7 +305,7 @@ def _average(points, step, kernel: Kernel, sample_fns, identity_values, h: float
     act_idx = np.flatnonzero(active)
     if len(act_idx):
         total, lo_a, hi_a, pair_sum = _sweep(
-            points, step, act_idx, kernel.nodes, kernel.coeffs, sample_fns, threads,
+            points, step, act_idx, kernel.nodes, kernel.coeffs, sample_fns,
             kernel.paired_count if pairs else 0)
         inside_hull = np.clip(total, lo_a, hi_a)
         values[:, act_idx] = inside_hull
@@ -343,8 +318,7 @@ def _average(points, step, kernel: Kernel, sample_fns, identity_values, h: float
 
 
 def variable_step_average(points: np.ndarray, step: np.ndarray, kernel: Kernel,
-                          sample_fns: Sequence[Callable], identity_values, h: float,
-                          threads: int = 1) -> Sweep:
+                          sample_fns: Sequence[Callable], identity_values, h: float) -> Sweep:
     """Weighted average of each field's samples around each point.
 
     ``values[f, i] = sum_k coeff_k * sample_fns[f](points[i] - step[i] * z_k)``,
@@ -353,24 +327,22 @@ def variable_step_average(points: np.ndarray, step: np.ndarray, kernel: Kernel,
     ``step[i] < h`` is not sampled and keeps its identity value, and these
     guarded columns carry the L1 norm's excess over 1 (see ``column_sums``).
     """
-    return _average(points, step, kernel, sample_fns, identity_values, h, threads, False)
+    return _average(points, step, kernel, sample_fns, identity_values, h, False)
 
 
 def weighted_z_dot(points: np.ndarray, step: np.ndarray, kernel: Kernel,
-                   grad_sample_fns: Sequence[Callable], identity_values, h: float,
-                   threads: int = 1) -> Sweep:
+                   grad_sample_fns: Sequence[Callable], identity_values, h: float) -> Sweep:
     """``variable_step_average`` plus, in ``zdot``, the step-variation sum
     ``sum_k coeff_k * (-z_k) . grad(points[i] - step[i] * z_k)``.
 
     The first N sample functions are the gradient components; fields after
     them are only averaged.
     """
-    return _average(points, step, kernel, grad_sample_fns, identity_values, h, threads, True)
+    return _average(points, step, kernel, grad_sample_fns, identity_values, h, True)
 
 
 def variable_step_max(points: np.ndarray, step: np.ndarray, kernel: Kernel,
-                      sample_fn: Callable, identity_values: np.ndarray,
-                      threads: int = 1) -> np.ndarray:
+                      sample_fn: Callable, identity_values: np.ndarray) -> np.ndarray:
     """Max of samples over the quadrature set, the 2N axis-extreme points of
     each ball, and the center.  No subgrid guard: a zero step reduces the set
     to the center value."""
@@ -384,6 +356,6 @@ def variable_step_max(points: np.ndarray, step: np.ndarray, kernel: Kernel,
     extremes = np.stack([eye, 0.0 - eye], axis=1).reshape(2 * dim, dim)
     nodes = np.vstack([kernel.nodes, extremes])
     coeffs = np.concatenate([kernel.coeffs, np.zeros(2 * dim)])
-    _, _, hi, _ = _sweep(points, step, act_idx, nodes, coeffs, [sample_fn], threads)
+    _, _, hi, _ = _sweep(points, step, act_idx, nodes, coeffs, [sample_fn])
     out[act_idx] = np.maximum(out[act_idx], hi[0])
     return out

@@ -168,7 +168,7 @@ class StudyReport:
 
 
 def weak_l1_check(f: ScalarField, cfg: MollifierConfig,
-                  lambdas: Sequence[float], threads: int = 1) -> dict:
+                  lambdas: Sequence[float]) -> dict:
     """Check measure(|Tf| > lam) <= (5^N omega_N m_rho / lam) ||f||_1 + h^N.
 
     The constant comes from the covering argument behind the weak-type
@@ -177,7 +177,7 @@ def weak_l1_check(f: ScalarField, cfg: MollifierConfig,
     dom = cfg.domain
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    tf = mollify(f, cfg, threads=threads)
+    tf = mollify(f, cfg)
     l1 = norm(f, "Lp", 1.0)
     const = 5.0 ** dom.dim * unit_ball_volume(dom.dim) * cfg.kernel.m_rho
     hN = dom.cell_volume
@@ -308,6 +308,12 @@ def tf0_quadrature(x: float) -> float:
     return val / (2.0 * x)
 
 
+# The grid cross-check clips the spike at 16 h, and its closed form holds
+# while the clip stays inside the averaging window (0, 0.5] of x = 0.25,
+# that is h <= 1/32 on [0, 1].
+_COUNTEREXAMPLE_MIN_RES = 33
+
+
 def counterexample_run(resolutions: Sequence[int] = (4097,)) -> dict:
     """Exhibit L1 unboundedness: f0 is integrable but its smoothed image
     accumulates mass like ln ln(1/delta) near the boundary.
@@ -318,6 +324,10 @@ def counterexample_run(resolutions: Sequence[int] = (4097,)) -> dict:
     pipeline is cross-checked at the given resolutions with the spike
     clipped at a grid-resolvable height.
     """
+    for res in resolutions:
+        if int(res) < _COUNTEREXAMPLE_MIN_RES:
+            raise ValueError(f"counterexample grid resolution {res} is below the minimum of "
+                             f"{_COUNTEREXAMPLE_MIN_RES} nodes that its closed form covers")
     deltas = np.array([2.0 ** -k for k in range(4, 13)])
 
     tails = np.array([f0_l1_tail(d) for d in deltas])
@@ -388,8 +398,7 @@ def _counterexample_grid_check(res: int) -> dict:
 
 def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig],
                       n_list: Sequence[int], norms: Sequence[str],
-                      fixture: str = "custom", bv_mode: str | None = None,
-                      threads: int = 1) -> StudyReport:
+                      fixture: str = "custom", bv_mode: str | None = None) -> StudyReport:
     """Errors of the approximation family against the input per norm token.
 
     Adds monotonicity (5% slack) and final-decay (0.3x) checks for the
@@ -410,7 +419,7 @@ def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig
     for n in n_list:
         t0 = time.perf_counter()
         cfg = cfg_for_n(n)
-        tf = mollify(f, cfg, threads=threads)
+        tf = mollify(f, cfg)
         diff = field_difference(tf, f)
         for token in err_norms:
             report.errors[token].append(norm_by_token(diff, token))
@@ -437,7 +446,7 @@ def convergence_study(f: ScalarField, cfg_for_n: Callable[[int], MollifierConfig
     return report
 
 
-def trace_check(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> dict:
+def trace_check(f: ScalarField, cfg: MollifierConfig) -> dict:
     """Boundary-shell comparison of the smoothed field against the input.
 
     On each shell, of width 4, 8 and 16 grid spacings, the max deviation is
@@ -446,7 +455,7 @@ def trace_check(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> dict:
     pass's own samples; both tend to zero as the shells tighten.
     """
     dom = cfg.domain
-    tf, sweep = _mollify_sweep(f, cfg, threads)
+    tf, sweep = _mollify_sweep(f, cfg)
     sigma = dom.sigma().values[dom.inside_mask]
     f_in = f.values[dom.inside_mask]
     osc = np.maximum(sweep.hi[0] - f_in, f_in - sweep.lo[0])

@@ -3,8 +3,9 @@
 One executable, subcommand per operation, JSON/CSV I/O, reproducible seeds.
 Exit codes: 0 success, 1 a quantitative invariant failed (a JSON object
 naming it is printed), 2 configuration or I/O errors.  With
-``--no-timestamp`` reports omit timestamps, runtimes, and the thread count,
-so reruns (at any thread count) are byte-identical.
+``--no-timestamp`` reports omit timestamps and runtimes, so reruns are
+byte-identical.  Every run is single-threaded: ``--threads`` is parsed and
+validated for old command lines, and ignored.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "threads"):
-            args.threads = _thread_count(args.threads)
+            _thread_count(args.threads)
         return args.func(args)
     except (analysis.InvariantViolation, CertificationError) as err:
         print(json.dumps({"failed_invariant": str(err)}, sort_keys=True))
@@ -49,13 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="variable-step smoothing toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # eta and norm1 run on one thread but take --threads, so that one
-    # command line serves every subcommand that builds a step profile
+    # every run is single-threaded; --threads is validated and ignored, so
+    # that old command lines keep working
     flags = {
         "--domain": dict(default=DEFAULT_DOMAIN, help="domain spec JSON (inline or file path)"),
         "--kernel": dict(default='{"profile": "bump", "order": 64}',
                          help="kernel spec JSON (inline or file path)"),
-        "--threads": dict(default="1", help="worker threads, at least 1"),
+        "--threads": dict(default="1", help="ignored (every run is single-threaded); "
+                          "an integer of at least 1"),
         "--seed": dict(type=int, default=0),
     }
 
@@ -195,8 +197,6 @@ def _dump(report: dict, path, args) -> None:
     if not args.no_timestamp:
         report = dict(report)
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        if hasattr(args, "threads"):
-            report["threads"] = args.threads
     text = json.dumps(report, sort_keys=True, indent=1)
     if path:
         with open(path, "w") as fh:
@@ -212,6 +212,9 @@ def _dump(report: dict, path, args) -> None:
 def cmd_eta(args) -> int:
     dom = _load_domain(args)
     kernel = _load_kernel(args, dom.dim)
+    if args.alpha and args.builder != "calibrated":
+        raise ValueError(f"--alpha is read only by --builder calibrated, "
+                         f"got --builder {args.builder}")
     alpha = read_field_csv(args.alpha, dom) if args.alpha else None
     prof = _eta_from_spec(json.dumps({"builder": args.builder, "epsilon": args.epsilon}),
                           dom, kernel, alpha)
@@ -242,10 +245,10 @@ def cmd_mollify(args) -> int:
     else:
         prof = _eta_from_spec(args.eta, dom, kernel)
         cfg = MollifierConfig(kernel, prof, n=n)
-    tf, report = mollify_with_report(f, cfg, threads=args.threads)
+    tf, report = mollify_with_report(f, cfg)
     write_field_csv(tf, args.out)
     if args.grad:
-        grads = mollify_gradient(f, gradient_central(f), cfg, threads=args.threads)
+        grads = mollify_gradient(f, gradient_central(f), cfg)
         for axis, comp in enumerate(grads.components):
             write_field_csv(comp, f"{args.grad}.axis{axis}.csv"
                             if dom.dim > 1 else args.grad)
@@ -294,8 +297,7 @@ def cmd_study(args) -> int:
         prof = _eta_from_spec(args.eta, dom, kernel)
         cfg_for_n = lambda n: MollifierConfig(kernel, prof, n=n)
     report = analysis.convergence_study(f, cfg_for_n, n_list, norms,
-                                        fixture=args.fixture, bv_mode=args.bv,
-                                        threads=args.threads)
+                                        fixture=args.fixture, bv_mode=args.bv)
     out = report.to_dict(include_runtime=not args.no_timestamp)
     _dump(out, args.out, args)
     _emit_csv_table(report, args.out)
@@ -332,6 +334,9 @@ def cmd_norm1(args) -> int:
 
 def cmd_counterexample(args) -> int:
     res = [int(t) for t in args.resolutions.split(",") if t]
+    if not res:
+        raise ValueError(f"--resolutions needs at least one grid resolution, "
+                         f"got --resolutions {args.resolutions!r}")
     report = analysis.counterexample_run(res)
     _dump(report, args.out, args)
     return 0
@@ -347,8 +352,7 @@ def cmd_feasible(args) -> int:
     spec = feasible.ConstraintSpec(alpha, args.mode)
     n_list = _parse_n_list(args.n)
     prof = _eta_from_spec('{"builder": "calibrated"}', dom, kernel, alpha)
-    report = feasible.density_study(f, spec, prof, kernel, n_list, scheme,
-                                    threads=args.threads)
+    report = feasible.density_study(f, spec, prof, kernel, n_list, scheme)
     if args.emit_iterates:
         os.makedirs(args.emit_iterates, exist_ok=True)
         for n, g in zip(n_list, report.iterates):
@@ -363,7 +367,6 @@ def cmd_feasible(args) -> int:
 
 def cmd_selftest(args) -> int:
     checks = analysis.StudyReport("selftest")
-    threads = args.threads
     rng = np.random.default_rng(args.seed)
 
     for dim, res, order in ((1, 257, 32), (2, 33, 12)):
@@ -374,33 +377,31 @@ def cmd_selftest(args) -> int:
         tag = f"{dim}d"
 
         const = ScalarField.constant(dom, 3.25)
-        tf, _ = mollify_with_report(const, cfg, threads=threads)
+        tf, _ = mollify_with_report(const, cfg)
         checks.add_check(f"{tag} constant reproduction", np.abs(tf.values - 3.25).max(),
                          0.0, 1e-12)
 
         affine = ScalarField.from_function(dom, lambda *g: sum(g) + 0.5)
-        ta, _ = mollify_with_report(affine, cfg, threads=threads)
+        ta, _ = mollify_with_report(affine, cfg)
         checks.add_check(f"{tag} affine reproduction",
                          np.abs(ta.values - affine.values).max(), 0.0, 1e-10)
 
         noisy = ScalarField(dom, rng.standard_normal(dom.shape))
-        tn, rep = mollify_with_report(noisy, cfg, threads=threads)
+        tn, rep = mollify_with_report(noisy, cfg)
         checks.add_check(f"{tag} sup bound", rep["sup_ratio"], 1.0)
-        wk = analysis.weak_l1_check(noisy, cfg, [10.0 ** e for e in range(-3, 3)],
-                                    threads=threads)
+        wk = analysis.weak_l1_check(noisy, cfg, [10.0 ** e for e in range(-3, 3)])
         checks.add_check(f"{tag} weak-L1 violations", wk["violations"], 0.0)
 
     dom = Domain.box([(0.0, 1.0)], 257)
     kernel = make_kernel("bump", 1, 32)
     quad = quadratic_eta(dom, 0.1, kernel)
     sin_f = ScalarField.from_function(dom, lambda x: np.sin(np.pi * x))
-    grad_rep = pointwise_gradient_bound_check(
-        sin_f, MollifierConfig(kernel, quad, n=4), threads=threads)
+    grad_rep = pointwise_gradient_bound_check(sin_f, MollifierConfig(kernel, quad, n=4))
     checks.add_check("gradient bounds violations", grad_rep["violations"], 0.0)
 
     study = analysis.convergence_study(
         sin_f, lambda n: MollifierConfig(kernel, quad, n=n), [1, 2, 4],
-        ["L2", "W12"], "sin", threads=threads)
+        ["L2", "W12"], "sin")
     checks.add_check("convergence monotone", 0.0 if study.passed() else 1.0, 0.0)
 
     rep = analysis.l1_operator_norm_report(MollifierConfig(kernel, quad, n=1))
@@ -416,7 +417,7 @@ def cmd_selftest(args) -> int:
     f09 = ScalarField(dom, 0.9 * alpha.values)
     betas = []
     for n in (1, 4, 16):
-        _, info = feasible.feasible_smooth(f09, spec, cal, kernel, n, threads=threads)
+        _, info = feasible.feasible_smooth(f09, spec, cal, kernel, n)
         betas.append(info["beta"])
         checks.add_check(f"feasible margin n={n}", info["margin"], info["margin_slack"])
     checks.add_check("beta nondecreasing", max(b1 - b2 for b1, b2 in zip(betas, betas[1:])),

@@ -79,7 +79,7 @@ def membership(f: ScalarField, spec: ConstraintSpec) -> tuple[bool, np.ndarray, 
 
 
 def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
-                       kernel: Kernel, threads: int = 1) -> tuple[ScalarField, float]:
+                       kernel: Kernel) -> tuple[ScalarField, float]:
     """Local ball-sup ratio of the bound over the smoothing balls.
 
     The sup runs over the quadrature sample points of the given kernel, the
@@ -100,7 +100,7 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
     step = eta.values[dom.inside_mask] / n
     alpha_in = spec.alpha.values[dom.inside_mask]
     best = variable_step_max(pts, step, kernel, GridSample(dom, spec.alpha.values),
-                             alpha_in, threads=threads)
+                             alpha_in)
     m = np.ones(dom.shape)
     ratios = np.ones(len(pts))
     free = ~theta[dom.inside_mask]
@@ -112,7 +112,7 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
 
 
 def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
-                    kernel: Kernel, n: int, threads: int = 1) -> tuple[ScalarField, dict]:
+                    kernel: Kernel, n: int) -> tuple[ScalarField, dict]:
     """Smooth a feasible field and rescale it back into the constraint set.
 
     Value mode scales by 1/(1 + ||M_n - 1||_inf); gradient mode additionally
@@ -124,7 +124,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     if not member:
         raise ValueError(f"input not feasible: margin {margin} at node {worst}")
 
-    _, m_sup = convergence_factor(spec, eta, n, kernel, threads=threads)
+    _, m_sup = convergence_factor(spec, eta, n, kernel)
     if spec.mode == "gradient":
         m_sup_eff = (1.0 + eta.grad_bound / n) * (1.0 + m_sup) - 1.0
     else:
@@ -132,7 +132,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     beta = 1.0 / (1.0 + m_sup_eff)
 
     cfg = MollifierConfig(kernel, eta, n=n)
-    tf = mollify(f, cfg, threads=threads)
+    tf = mollify(f, cfg)
     g = ScalarField(spec.domain, beta * tf.values)
 
     slack = 1e-8 + 3.0 * spec.domain.h * _max_gradient(spec.domain, spec.alpha.values)
@@ -164,8 +164,7 @@ def _check_scheme(scheme: str, mode: str) -> None:
 
 
 def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
-                  kernel: Kernel, n_list, scheme: str = "W1p",
-                  threads: int = 1) -> StudyReport:
+                  kernel: Kernel, n_list, scheme: str = "W1p") -> StudyReport:
     """Feasible approximation study for one of the three density modes.
 
     ``scheme='Lp'`` measures L2 errors of the truncated-then-smoothed
@@ -189,7 +188,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
         if scheme == "Lp":
             vals = np.where(theta_dist >= 1.0 / n, f.values, 0.0)
             fn = ScalarField(spec.domain, vals)
-        g, info = feasible_smooth(fn, spec, eta, kernel, n, threads=threads)
+        g, info = feasible_smooth(fn, spec, eta, kernel, n)
         report.iterates.append(g)
         report.errors[token].append(norm_by_token(field_difference(g, f), token))
         report.add_check(f"feasible n={n}", info["margin"], info["margin_slack"])

@@ -100,14 +100,16 @@ def mollify(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> ScalarFie
     ``flagged_subgrid_nodes``.  A guarded column keeps its own weight 1 and
     also takes weight from smoothed neighbours, so the guarded columns carry
     the L1 norm's excess over 1 (``l1_operator_norm_report``).
+
+    Every sweep runs on the calling thread; ``threads`` is accepted for old
+    callers and ignored.
     """
-    return _mollify_sweep(f, cfg, threads)[0]
+    return _mollify_sweep(f, cfg)[0]
 
 
-def mollify_with_report(f: ScalarField, cfg: MollifierConfig,
-                        threads: int = 1) -> tuple[ScalarField, dict]:
+def mollify_with_report(f: ScalarField, cfg: MollifierConfig) -> tuple[ScalarField, dict]:
     t0 = time.perf_counter()
-    out, sweep = _mollify_sweep(f, cfg, threads)
+    out, sweep = _mollify_sweep(f, cfg)
     step = cfg.step_inside()
     inside_abs = np.abs(f.values[f.domain.inside_mask])
     sup_f = float(inside_abs.max())
@@ -123,7 +125,7 @@ def mollify_with_report(f: ScalarField, cfg: MollifierConfig,
     return out, report
 
 
-def _mollify_sweep(f: ScalarField, cfg: MollifierConfig, threads: int):
+def _mollify_sweep(f: ScalarField, cfg: MollifierConfig):
     """The smoothed field and the sweep over the inside nodes behind it."""
     dom = cfg.domain
     if f.domain is not dom and (f.domain.shape != dom.shape or f.domain.bbox != dom.bbox):
@@ -131,14 +133,13 @@ def _mollify_sweep(f: ScalarField, cfg: MollifierConfig, threads: int):
     pts = dom.node_coords(dom.inside_mask)
     sweep = variable_step_average(pts, cfg.step_inside(), cfg.kernel,
                                   [_sample_closure(f, cfg.allow_boundary_step)],
-                                  [f.values[dom.inside_mask]], dom.h, threads=threads)
+                                  [f.values[dom.inside_mask]], dom.h)
     out = f.values.copy()
     out[dom.inside_mask] = sweep.values[0]
     return ScalarField(dom, out), sweep
 
 
-def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray,
-                      threads: int = 1) -> np.ndarray:
+def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray) -> np.ndarray:
     """Evaluate the smoothed function at arbitrary points of the domain.
 
     ``f`` may be a ScalarField (interpolated) or a callable on (M, N) point
@@ -148,11 +149,10 @@ def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray,
     step = cfg.step_at(points)
     sample = _sample_closure(f, cfg.allow_boundary_step)
     return variable_step_average(points, step, cfg.kernel, [sample], [sample(points)],
-                                 cfg.domain.h, threads=threads).values[0]
+                                 cfg.domain.h).values[0]
 
 
-def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField],
-                    cfg: MollifierConfig, threads: int):
+def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField], cfg: MollifierConfig):
     """One sweep over the gradient components and the ``extra`` fields.
 
     Returns the analytic gradient of the smoothed field at the inside nodes,
@@ -165,7 +165,7 @@ def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField],
     fields = grad_f.components + extra
     sweep = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
                            [_sample_closure(c, cfg.allow_boundary_step) for c in fields],
-                           [c.values[inside] for c in fields], dom.h, threads=threads)
+                           [c.values[inside] for c in fields], dom.h)
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
     grad_eta = gradient_central(cfg.eta.field)
     grad_tf = [sweep.values[axis] + inv_n * grad_eta.components[axis].values[inside] * sweep.zdot
@@ -173,8 +173,7 @@ def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField],
     return grad_tf, sweep.values
 
 
-def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig,
-                     threads: int = 1) -> VectorField:
+def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig) -> VectorField:
     """Analytic gradient of the smoothed field.
 
     Componentwise smoothing of the input gradient plus the step-variation
@@ -185,15 +184,14 @@ def mollify_gradient(f: ScalarField, grad_f: VectorField, cfg: MollifierConfig,
     input gradient unchanged.
     """
     dom = cfg.domain
-    grad_tf, _ = _gradient_sweep(grad_f, [], cfg, threads)
+    grad_tf, _ = _gradient_sweep(grad_f, [], cfg)
     out = [comp.values.copy() for comp in grad_f.components]
     for arr, vals in zip(out, grad_tf):
         arr[dom.inside_mask] = vals
     return VectorField.from_arrays(dom, out)
 
 
-def pointwise_gradient_bound_check(f: ScalarField, cfg: MollifierConfig,
-                                   threads: int = 1) -> dict:
+def pointwise_gradient_bound_check(f: ScalarField, cfg: MollifierConfig) -> dict:
     """Verify the pointwise gradient bounds at every inside node.
 
     Checks |grad Tf| <= |T grad f| + |grad eta| T(|grad f|) and
@@ -204,7 +202,7 @@ def pointwise_gradient_bound_check(f: ScalarField, cfg: MollifierConfig,
     inside = dom.inside_mask
     slack = 1e-8 + 5.0 * dom.h
     grad_f = gradient_central(f)
-    grad_tf, smoothed = _gradient_sweep(grad_f, [grad_f.magnitude()], cfg, threads)
+    grad_tf, smoothed = _gradient_sweep(grad_f, [grad_f.magnitude()], cfg)
     t_comp, t_mag = smoothed[:dom.dim], smoothed[dom.dim]
 
     pts = dom.node_coords(inside)
@@ -252,15 +250,15 @@ def composite_profile(eta1: EtaProfile, eta0: EtaProfile,
 
 
 def mollify_composite(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
-                      n: int | None, kernel: Kernel, threads: int = 1) -> ScalarField:
+                      n: int | None, kernel: Kernel) -> ScalarField:
     """Smooth with step ``eta1 + eta0 / n`` (or plain eta1 when n is None)."""
     combined = composite_profile(eta1, eta0, n)
     cfg = MollifierConfig(kernel, combined)
-    return mollify(f, cfg, threads=threads)
+    return mollify(f, cfg)
 
 
 def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
-              n: int | None, kernel: Kernel, threads: int = 1) -> VectorField:
+              n: int | None, kernel: Kernel) -> VectorField:
     """Step-variation part of the composite gradient.
 
     For finite n this is the correction carried by the combined step; with
@@ -284,7 +282,7 @@ def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
     scalar = weighted_z_dot(dom.node_coords(dom.inside_mask), step, kernel,
                             [_sample_closure(c, False) for c in grad_f.components],
                             [c.values[dom.inside_mask] for c in grad_f.components],
-                            dom.h, threads=threads).zdot
+                            dom.h).zdot
     delta = eta1.theta_mask & dom.inside_mask
     out = []
     for axis in range(dom.dim):

@@ -21,88 +21,68 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mollikit._sampling import _run
 from mollikit.grid import gradient_central
 
 
-def variable_step_average(points, step, kernel, sample_fn, identity_values, h,
-                          threads=1):
+def variable_step_average(points, step, kernel, sample_fn, identity_values, h):
     points = np.atleast_2d(points)
     out = np.array(identity_values, dtype=float, copy=True)
     active = step >= h
     if not active.any():
         return out, active
-    act_idx = np.flatnonzero(active)
-
-    def worker(sl):
-        idx = act_idx[sl]
-        x = points[idx]
-        s = step[idx][:, None]
-        acc = np.zeros(len(idx))
-        lo = np.full(len(idx), np.inf)
-        hi = np.full(len(idx), -np.inf)
-        for k in range(len(kernel.nodes)):
-            vals = sample_fn(x - s * kernel.nodes[k])
-            acc += kernel.coeffs[k] * vals
-            np.minimum(lo, vals, out=lo)
-            np.maximum(hi, vals, out=hi)
-        out[idx] = np.clip(acc, lo, hi)
-
-    _run(worker, len(act_idx), threads)
+    x = points[active]
+    s = step[active][:, None]
+    acc = np.zeros(len(x))
+    lo = np.full(len(x), np.inf)
+    hi = np.full(len(x), -np.inf)
+    for k in range(len(kernel.nodes)):
+        vals = sample_fn(x - s * kernel.nodes[k])
+        acc += kernel.coeffs[k] * vals
+        np.minimum(lo, vals, out=lo)
+        np.maximum(hi, vals, out=hi)
+    out[active] = np.clip(acc, lo, hi)
     return out, active
 
 
-def weighted_z_dot(points, step, kernel, grad_sample_fns, h, threads=1):
+def weighted_z_dot(points, step, kernel, grad_sample_fns, h):
     points = np.atleast_2d(points)
     out = np.zeros(len(points))
     active = step >= h
     if not active.any():
         return out
-    act_idx = np.flatnonzero(active)
-    pc = kernel.paired_count
-
-    def worker(sl):
-        idx = act_idx[sl]
-        x = points[idx]
-        s = step[idx][:, None]
-        acc = np.zeros(len(idx))
-        for p in range(pc // 2):
-            z = kernel.nodes[2 * p]
-            shift = s * z
-            diff = np.zeros(len(idx))
-            for axis, g in enumerate(grad_sample_fns):
-                if z[axis] != 0.0:
-                    diff += z[axis] * (g(x + shift) - g(x - shift))
-            acc += kernel.coeffs[2 * p] * diff
-        out[idx] = acc
-
-    _run(worker, len(act_idx), threads)
+    x = points[active]
+    s = step[active][:, None]
+    acc = np.zeros(len(x))
+    for p in range(kernel.paired_count // 2):
+        z = kernel.nodes[2 * p]
+        shift = s * z
+        diff = np.zeros(len(x))
+        for axis, g in enumerate(grad_sample_fns):
+            if z[axis] != 0.0:
+                diff += z[axis] * (g(x + shift) - g(x - shift))
+        acc += kernel.coeffs[2 * p] * diff
+    out[active] = acc
     return out
 
 
-def variable_step_max(points, step, kernel, sample_fn, identity_values, threads=1):
+def variable_step_max(points, step, kernel, sample_fn, identity_values):
     points = np.atleast_2d(points)
     dim = points.shape[1]
     out = np.array(identity_values, dtype=float, copy=True)
-    act_idx = np.flatnonzero(step > 0.0)
-    if len(act_idx) == 0:
+    active = step > 0.0
+    if not active.any():
         return out
-
-    def worker(sl):
-        idx = act_idx[sl]
-        x = points[idx]
-        s = step[idx][:, None]
-        best = np.array(out[idx], copy=True)
-        for k in range(len(kernel.nodes)):
-            np.maximum(best, sample_fn(x - s * kernel.nodes[k]), out=best)
-        for axis in range(dim):
-            for sign in (-1.0, 1.0):
-                shifted = x.copy()
-                shifted[:, axis] += sign * s[:, 0]
-                np.maximum(best, sample_fn(shifted), out=best)
-        out[idx] = best
-
-    _run(worker, len(act_idx), threads)
+    x = points[active]
+    s = step[active][:, None]
+    best = out[active]
+    for k in range(len(kernel.nodes)):
+        np.maximum(best, sample_fn(x - s * kernel.nodes[k]), out=best)
+    for axis in range(dim):
+        for sign in (-1.0, 1.0):
+            shifted = x.copy()
+            shifted[:, axis] += sign * s[:, 0]
+            np.maximum(best, sample_fn(shifted), out=best)
+    out[active] = best
     return out
 
 
@@ -158,44 +138,44 @@ def _sample(f, clamp):
 # the operators, each over its own loops
 
 
-def mollify(f, cfg, threads=1):
+def mollify(f, cfg):
     dom = cfg.domain
     vals, _ = variable_step_average(dom.node_coords(dom.inside_mask), cfg.step_inside(),
                                     cfg.kernel, _sample(f, cfg.allow_boundary_step),
-                                    f.values[dom.inside_mask], dom.h, threads)
+                                    f.values[dom.inside_mask], dom.h)
     out = f.values.copy()
     out[dom.inside_mask] = vals
     return out
 
 
-def mollify_at_points(f, cfg, points, threads=1):
+def mollify_at_points(f, cfg, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sample = _sample(f, cfg.allow_boundary_step)
     vals, _ = variable_step_average(points, cfg.step_at(points), cfg.kernel, sample,
-                                    sample(points), cfg.domain.h, threads)
+                                    sample(points), cfg.domain.h)
     return vals
 
 
-def _smoothed_inside(fields, cfg, threads):
+def _smoothed_inside(fields, cfg):
     dom = cfg.domain
     pts = dom.node_coords(dom.inside_mask)
     return [variable_step_average(pts, cfg.step_inside(), cfg.kernel,
                                   _sample(c, cfg.allow_boundary_step),
-                                  c.values[dom.inside_mask], dom.h, threads)[0]
+                                  c.values[dom.inside_mask], dom.h)[0]
             for c in fields]
 
 
-def mollify_gradient(f, grad_f, cfg, threads=1):
+def mollify_gradient(f, grad_f, cfg):
     dom = cfg.domain
     inside = dom.inside_mask
     samples = [_sample(c, cfg.allow_boundary_step) for c in grad_f.components]
     scalar = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
-                            samples, dom.h, threads)
+                            samples, dom.h)
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
     grad_eta = gradient_central(cfg.eta.field)
     out = []
     for axis, (comp, vals) in enumerate(zip(grad_f.components,
-                                            _smoothed_inside(grad_f.components, cfg, threads))):
+                                            _smoothed_inside(grad_f.components, cfg))):
         arr = comp.values.copy()
         arr[inside] = vals
         arr[inside] += inv_n * grad_eta.components[axis].values[inside] * scalar
@@ -203,14 +183,14 @@ def mollify_gradient(f, grad_f, cfg, threads=1):
     return out
 
 
-def pointwise_gradient_bound_check(f, cfg, threads=1):
+def pointwise_gradient_bound_check(f, cfg):
     dom = cfg.domain
     inside = dom.inside_mask
     slack = 1e-8 + 5.0 * dom.h
     grad_f = gradient_central(f)
-    grad_tf = mollify_gradient(f, grad_f, cfg, threads)
-    t_comp = _smoothed_inside(grad_f.components, cfg, threads)
-    t_mag = _smoothed_inside([grad_f.magnitude()], cfg, threads)[0]
+    grad_tf = mollify_gradient(f, grad_f, cfg)
+    t_comp = _smoothed_inside(grad_f.components, cfg)
+    t_mag = _smoothed_inside([grad_f.magnitude()], cfg)[0]
     pts = dom.node_coords(inside)
     grad_eta_mag = gradient_central(cfg.eta.field).magnitude().values[inside]
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
@@ -231,9 +211,9 @@ def pointwise_gradient_bound_check(f, cfg, threads=1):
     }
 
 
-def trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=1):
+def trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0)):
     dom = cfg.domain
-    tf = mollify(f, cfg, threads)
+    tf = mollify(f, cfg)
     sigma = dom.sigma().values[dom.inside_mask]
     pts = dom.node_coords(dom.inside_mask)
     step = cfg.step_inside()
@@ -263,7 +243,7 @@ def trace_check(f, cfg, widths_in_h=(4.0, 8.0, 16.0), threads=1):
     return {"rows": rows, "violations": sum(not r["pass"] for r in rows)}
 
 
-def psi_field(f, eta1, eta0, n, kernel, threads=1):
+def psi_field(f, eta1, eta0, n, kernel):
     dom = eta1.domain
     inside = dom.inside_mask
     grad_f = gradient_central(f)
@@ -276,7 +256,7 @@ def psi_field(f, eta1, eta0, n, kernel, threads=1):
     else:
         step = eta1.values[inside].copy()
         weights = [g.values for g in gradient_central(eta1.field).components]
-    scalar = weighted_z_dot(dom.node_coords(inside), step, kernel, samples, dom.h, threads)
+    scalar = weighted_z_dot(dom.node_coords(inside), step, kernel, samples, dom.h)
     delta = eta1.theta_mask & inside
     out = []
     for axis in range(dom.dim):
@@ -288,14 +268,14 @@ def psi_field(f, eta1, eta0, n, kernel, threads=1):
     return out
 
 
-def convergence_factor(spec, eta, n, kernel, threads=1):
+def convergence_factor(spec, eta, n, kernel):
     dom = spec.domain
     theta = spec.theta_mask
     pts = dom.node_coords(dom.inside_mask)
     alpha_in = spec.alpha.values[dom.inside_mask]
     best = variable_step_max(pts, eta.values[dom.inside_mask] / n, kernel,
                              lambda p: interpolate(dom, spec.alpha.values, p),
-                             alpha_in, threads)
+                             alpha_in)
     m = np.ones(dom.shape)
     ratios = np.ones(len(pts))
     free = ~theta[dom.inside_mask]
@@ -340,9 +320,9 @@ def column_sums(cfg):
     return out.reshape(-1)
 
 
-def average_entry(points, step, kernel, sample_fns, identity_values, h, threads=1):
+def average_entry(points, step, kernel, sample_fns, identity_values, h):
     """Stands in for ``mollikit._sampling.variable_step_average`` with the
     loop above, so that a caller's own arithmetic runs over the reference."""
-    rows = [variable_step_average(points, step, kernel, fn, ident, h, threads)[0]
+    rows = [variable_step_average(points, step, kernel, fn, ident, h)[0]
             for fn, ident in zip(sample_fns, identity_values)]
     return SimpleNamespace(values=np.array(rows))

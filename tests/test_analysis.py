@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mollikit import _sampling
+from mollikit import _sampling, analysis
 from mollikit.analysis import (InvariantViolation, constant_step_probe,
                                convergence_study, counterexample_run, f0,
                                f0_l1_tail, field_difference,
@@ -270,6 +270,21 @@ def test_counterexample_grid_check(ce_report):
         assert row["rel_err"] <= 0.02
 
 
+def test_counterexample_grid_check_needs_33_nodes(monkeypatch):
+    # 33 nodes is the first grid whose clipped spike the closed form covers;
+    # there the clip 16 h reaches the window's end 0.5, so the check is exact
+    [row] = counterexample_run((33,))["grid_checks"]
+    assert row["rel_err"] == 0.0
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(analysis, "quad", no_quadrature)
+    for bad in (3, 17, 32):
+        with pytest.raises(ValueError, match=f"resolution {bad} is below the minimum of 33"):
+            counterexample_run((1025, bad))
+
+
 def test_counterexample_cauchy(ce_report):
     assert ce_report["cauchy_decreasing"]
 
@@ -352,13 +367,14 @@ def test_trace_parabola_quadratic_step(line, kernel1d, quad_prof):
     assert rep["violations"] == 0
 
 
-def test_trace_shell_errors_shrink(line, kernel1d):
+def test_trace_shell_errors_shrink(line, kernel1d, monkeypatch):
     # wider linear step so the shells are not all under the subgrid guard
     prof = build_whitney_eta(line, epsilon=0.5)
     cfg = MollifierConfig(kernel1d, prof, n=1)
     f = ScalarField.from_function(line, lambda x: 1.0 + 2.0 * x + np.sin(6 * x))
     rep = trace_check(f, cfg)
-    assert trace_check(f, cfg, threads=2) == rep
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)  # blocks change no bit
+    assert trace_check(f, cfg) == rep
     assert rep["violations"] == 0
     devs = [r["max_dev"] for r in rep["rows"]]
     assert devs[0] <= devs[2] / 2.0

@@ -2,6 +2,7 @@
 output checks, so that an output the benchmark would count as incorrect
 fails here first.  ``perfbench`` is imported as it is, read-only."""
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -11,18 +12,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _import(name: str):
     # workloads.py imports its sibling checks.py as a top-level module; no
     # bytecode is written, so the benchmark's tree stays as it is
     sys.path.insert(0, str(PERFBENCH))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = write_bytecode
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import("workloads")
 
 
 @pytest.mark.parametrize("name", ["operator-box", "eta-mask", "studies-cli"])
@@ -36,3 +40,8 @@ def test_workload_passes_its_checks(name, workloads, tmp_path):
     out = wl.op(inp)
     assert wl.check(0, inp, out) == []
     assert wl.check_run() == []
+    if hasattr(wl, "repeat_mollify"):
+        # the traced run's repeat, which binds mollify(..., threads=2)
+        tracing = _import("tracing")
+        with tracing.traced(tracing.Recorder()):
+            assert wl.repeat_mollify(inp, out, threads=2) == []

@@ -1,5 +1,5 @@
+import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -164,6 +164,25 @@ def test_counterexample_subcommand(workdir):
     report = json.loads(out.read_text())
     assert 0.8 <= report["slope_vs_model"] <= 1.2
     assert report["slope_vs_loglog"] == pytest.approx(0.5, abs=0.02)
+
+
+@pytest.mark.parametrize("resolutions, names", [
+    ("3,17,33", ["resolution 3", "33"]), ("", ["--resolutions"])], ids=["below-33", "empty"])
+def test_counterexample_refuses_uncovered_resolutions(resolutions, names, tmp_path, capsys):
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--resolutions", resolutions, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["config_error"]
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+def test_eta_alpha_needs_calibrated_builder(workdir, capsys):
+    out = workdir / "eta_alpha.csv"
+    assert cli.main(["eta", "--builder", "quadratic", "--alpha", str(workdir / "alpha.csv"),
+                     "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["config_error"]
+    assert "--alpha" in err and "calibrated" in err
+    assert not out.exists()
 
 
 def test_feasible_subcommand(workdir):
@@ -345,25 +364,30 @@ def test_bad_json_is_config_error():
 
 
 def test_selftest_deterministic_across_threads(tmp_path, monkeypatch):
-    # blocks of 64 points and 8 usable CPUs, so that --threads 8 splits sweeps
-    monkeypatch.setattr(_sampling, "_BLOCK", 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    chunks = _sampling._chunks
-    slice_counts = []
+    # --threads is ignored; blocks of 64 points split the selftest's sweeps
+    cut = _sampling._blocks
+    block_counts = []
 
-    def counted_chunks(m, threads):
-        slices = chunks(m, threads)
-        slice_counts.append(len(slices))
-        return slices
+    def counted(m):
+        out = cut(m)
+        block_counts.append(len(out))
+        return out
 
-    monkeypatch.setattr(_sampling, "_chunks", counted_chunks)
+    monkeypatch.setattr(_sampling, "_blocks", counted)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     assert cli.main(["selftest", "--threads", "1", "--no-timestamp", "--out", str(a)]) == 0
-    assert max(slice_counts) == 1
-    slice_counts.clear()
+    assert max(block_counts) == 1
+    block_counts.clear()
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)
     assert cli.main(["selftest", "--threads", "8", "--no-timestamp", "--out", str(b)]) == 0
-    assert max(slice_counts) >= 2
+    assert max(block_counts) >= 2
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert report["pass"] and "threads" not in report
+
+
+def test_timestamped_report_has_no_thread_count(tmp_path):
+    out = tmp_path / "report.json"
+    cli._dump({"pass": True}, out, argparse.Namespace(no_timestamp=False, threads=8))
+    assert sorted(json.loads(out.read_text())) == ["pass", "timestamp"]

@@ -1,10 +1,10 @@
-import os
+import threading
 
 import numpy as np
 import pytest
 
-from mollikit import _sampling
-from mollikit._sampling import SigmaSample, _chunks, variable_step_average
+from mollikit import _sampling, cli
+from mollikit._sampling import SigmaSample, _blocks, variable_step_average
 from mollikit.analysis import tf0_closed
 from mollikit.eta import EtaProfile, build_whitney_eta, quadratic_eta
 from mollikit.grid import Domain, ScalarField, gradient_central
@@ -253,42 +253,52 @@ def test_mask_sigma_sweep_queries_the_tree_per_block(monkeypatch):
 
 
 def test_thread_count_does_not_change_bits(quad_cfg, monkeypatch):
-    monkeypatch.setattr(_sampling, "_BLOCK", 64)  # 511 points: several slices
+    # threads is accepted and ignored; blocks of 64 points change no bit
     rng = np.random.default_rng(9)
     f = ScalarField(quad_cfg.domain, rng.standard_normal(quad_cfg.domain.shape))
     a = mollify(f, quad_cfg, threads=1).values
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)
+    assert len(_blocks(int((quad_cfg.step_inside() >= quad_cfg.domain.h).sum()))) > 1
     b = mollify(f, quad_cfg, threads=4).values
     assert np.array_equal(a, b)
 
 
-def test_worker_slices_are_near_equal(monkeypatch):
-    # only slices are made here; no thread is started
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+def test_no_thread_is_started(quad_cfg, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(_sampling, "_BLOCK", 64)  # sweeps of several blocks
+    f = ScalarField.from_function(quad_cfg.domain, lambda x: np.sin(3.0 * x))
+    mollify(f, quad_cfg, threads=8)
+    mollify_gradient(f, gradient_central(f), quad_cfg)
+    assert cli.main(["selftest", "--threads", "8", "--no-timestamp",
+                     "--out", str(tmp_path / "selftest.json")]) == 0
+
+
+def test_blocks_are_near_equal():
     block = _sampling._BLOCK
     for m in (1, block, 2 * block - 1):
-        assert _chunks(m, 8) == [slice(0, m)]
+        assert _blocks(m) == [slice(0, m)]
     # no sliver: 128^2's 8,464 active points, and one point past two blocks
-    assert _chunks(2 * block + 272, 2) == [slice(0, block + 136),
-                                           slice(block + 136, 2 * block + 272)]
-    assert _chunks(2 * block + 1, 2) == [slice(0, block), slice(block, 2 * block + 1)]
-    for m, threads, count in ((2 * block, 2, 2), (5 * block + 3, 4, 4), (5 * block + 3, 8, 5),
-                              (100 * block, 8, 8)):
-        slices = _chunks(m, threads)
-        assert len(slices) == count
-        assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
-        assert slices[-1].stop == m
-        sizes = [sl.stop - sl.start for sl in slices]
+    assert _blocks(2 * block + 272) == [slice(0, block + 136), slice(block + 136, 2 * block + 272)]
+    assert _blocks(2 * block + 1) == [slice(0, block), slice(block, 2 * block + 1)]
+    for m, count in ((2 * block, 2), (5 * block + 3, 5), (100 * block, 100)):
+        blocks = _blocks(m)
+        assert len(blocks) == count
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == m
+        sizes = [b.stop - b.start for b in blocks]
         assert min(sizes) >= block and max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.parametrize("threads", [3, 1000, 10**6])
-def test_worker_slices_capped_at_usable_cpus(threads):
-    # only slices are made here; no thread is started
-    slices = _chunks(10**6, threads)
-    assert 1 <= len(slices) <= len(os.sched_getaffinity(0))
-    covered = np.zeros(10**6, dtype=int)
-    for sl in slices:
-        covered[sl] += 1
+@pytest.mark.parametrize("m", [3, 1000, 10**6])
+def test_blocks_cover_the_point_axis(m):
+    blocks = _blocks(m)
+    assert len(blocks) == max(1, m // _sampling._BLOCK)
+    covered = np.zeros(m, dtype=int)
+    for b in blocks:
+        covered[b] += 1
     assert (covered == 1).all()
 
 

@@ -1,9 +1,9 @@
 """Every operator built on the sampling sweep against the reference loops
 of ``sampling_oracle``, bit for bit, over box, ball and mask domains in 1D,
 2D and 3D with anisotropic spacing, even and odd kernel orders (odd orders
-carry the origin node and zero node components) and 1 and 2 threads."""
+carry the origin node and zero node components), in one block and in
+several."""
 
-import os
 from functools import reduce
 
 import numpy as np
@@ -68,11 +68,22 @@ def setup(request):
             "eta1": build_whitney_eta(dom, theta, 0.5)}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
-def test_operators_bitwise_equal_to_reference_loops(setup, parity, threads, monkeypatch):
-    if threads > 1:  # small blocks, so that these grids make several slices and blocks
-        monkeypatch.setattr(_sampling, "_BLOCK", 64)
+def test_operators_bitwise_equal_to_reference_loops(setup, parity, blocks, monkeypatch):
+    # blocks=1: every sweep in one block; blocks=2: blocks of 32 points, so
+    # that some sweep of each case runs in 2 or more
+    if blocks > 1:
+        monkeypatch.setattr(_sampling, "_BLOCK", 32)
+    counts = []
+    cut = _sampling._blocks
+
+    def counted(m):
+        out = cut(m)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(_sampling, "_blocks", counted)
     dom, f, eta0, eta1 = setup["dom"], setup["f"], setup["eta0"], setup["eta1"]
     kernel = make_kernel("bump", dom.dim, ORDERS[dom.dim][parity])
     assert (kernel.paired_count < len(kernel.nodes)) == bool(parity)
@@ -83,34 +94,34 @@ def test_operators_bitwise_equal_to_reference_loops(setup, parity, threads, monk
 
     flat = ScalarField.constant(dom, 0.3)  # the hull clamp fires at most of its nodes
     for g in (f, flat):
-        assert np.array_equal(mollify(g, cfg, threads).values, oracle.mollify(g, cfg, threads))
+        assert np.array_equal(mollify(g, cfg).values, oracle.mollify(g, cfg))
     clamped = MollifierConfig(kernel, eta0, n=2, allow_boundary_step=True)
-    assert np.array_equal(mollify(f, clamped, threads).values,
-                          oracle.mollify(f, clamped, threads))
+    assert np.array_equal(mollify(f, clamped).values, oracle.mollify(f, clamped))
 
     deep = dom.sigma().values > 2.0 * max(dom.spacing)
     points = dom.node_coords(deep) + 0.25 * np.asarray(dom.spacing)
     wave = lambda p: np.sin(3.0 * p.sum(axis=1))  # noqa: E731
     for g in (f, wave):
-        assert np.array_equal(mollify_at_points(g, cfg, points, threads),
-                              oracle.mollify_at_points(g, cfg, points, threads))
+        assert np.array_equal(mollify_at_points(g, cfg, points),
+                              oracle.mollify_at_points(g, cfg, points))
 
-    got = mollify_gradient(f, grad_f, cfg, threads).arrays()
-    want = oracle.mollify_gradient(f, grad_f, cfg, threads)
+    got = mollify_gradient(f, grad_f, cfg).arrays()
+    want = oracle.mollify_gradient(f, grad_f, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert (pointwise_gradient_bound_check(f, cfg, threads)
-            == oracle.pointwise_gradient_bound_check(f, cfg, threads))
-    assert trace_check(f, cfg, threads=threads) == oracle.trace_check(f, cfg, threads=threads)
+    assert (pointwise_gradient_bound_check(f, cfg)
+            == oracle.pointwise_gradient_bound_check(f, cfg))
+    assert trace_check(f, cfg) == oracle.trace_check(f, cfg)
 
     for n in (None, 4):
-        got = psi_field(f, eta1, eta0, n, kernel, threads).arrays()
-        want = oracle.psi_field(f, eta1, eta0, n, kernel, threads)
+        got = psi_field(f, eta1, eta0, n, kernel).arrays()
+        want = oracle.psi_field(f, eta1, eta0, n, kernel)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     spec = ConstraintSpec(setup["alpha"])
-    m, sup = convergence_factor(spec, eta1, 2, kernel, threads)
-    m_ref, sup_ref = oracle.convergence_factor(spec, eta1, 2, kernel, threads)
+    m, sup = convergence_factor(spec, eta1, 2, kernel)
+    m_ref, sup_ref = oracle.convergence_factor(spec, eta1, 2, kernel)
     assert np.array_equal(m.values, m_ref) and sup == sup_ref
+    assert (max(counts) > 1) == (blocks > 1)
 
 
 def test_step_builders_bitwise_equal_to_reference_loops(setup, monkeypatch):
@@ -186,7 +197,7 @@ def test_table_blend_bitwise_equal_to_corner_gathers(dim, clamp):
 
 
 def test_sweep_blocks_are_balanced(monkeypatch):
-    # a slice of m points makes max(1, m // B) blocks, each of B to 2B - 1
+    # a sweep of m points makes max(1, m // B) blocks, each of B to 2B - 1
     # points (fewer only when m < B), and no block size moves a bit
     block = 16
     dom = _domain("box", 2)
@@ -207,7 +218,7 @@ def test_sweep_blocks_are_balanced(monkeypatch):
     monkeypatch.setattr(_sampling, "_BLOCK", block)
     for m in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1):
         sizes.clear()
-        got = _sweep(x[:m], s[:m], np.arange(m), kernel.nodes, kernel.coeffs, fields, 1)
+        got = _sweep(x[:m], s[:m], np.arange(m), kernel.nodes, kernel.coeffs, fields)
         assert sum(sizes) == m and len(sizes) == max(1, m // block)
         assert max(sizes) < 2 * block and (min(sizes) >= block or sizes == [m] and m < block)
         total, low, high = np.zeros((3, m)), np.full((3, m), np.inf), np.full((3, m), -np.inf)
@@ -299,17 +310,16 @@ def test_sigma_samples_bitwise_equal_to_sigma_at(kind, dim, monkeypatch):
         subs += 1
     assert (subs > 1) == (kind == "mask")
 
-    # the whole sweep, in blocks over one or two worker slices, never calls
-    # sigma_at and matches a loop over sigma_at in every bit
+    # the whole sweep, in several blocks, never calls sigma_at and matches
+    # a loop over sigma_at in every bit
     coeffs = np.random.default_rng(0).random(len(nodes))
     total, lo, hi = np.zeros(len(x)), np.full(len(x), np.inf), np.full(len(x), -np.inf)
     for c, w in zip(coeffs, want):
         total += c * w
         np.minimum(lo, w, out=lo)
         np.maximum(hi, w, out=hi)
-    assert len(_sampling._chunks(len(x), 2)) == min(2, len(os.sched_getaffinity(0)))
+    assert len(_sampling._blocks(len(x))) > 1
     monkeypatch.setattr(Domain, "sigma_at", None)
-    for threads in (1, 2):
-        got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)], threads)
-        for a, b in zip(got[:3], (total, lo, hi)):
-            assert a[0].tobytes() == b.tobytes()
+    got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)])
+    for a, b in zip(got[:3], (total, lo, hi)):
+        assert a[0].tobytes() == b.tobytes()
