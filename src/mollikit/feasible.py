@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sampling import GridSample, variable_step_max
+from ._sampling import GridSample, smoothed, variable_step_max
 from .analysis import InvariantViolation, StudyReport, field_difference, norm_by_token
 from .eta import EtaProfile, _max_gradient
 from .grid import Domain, ScalarField, distance_field, gradient_central
@@ -87,6 +87,14 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
     chain against the smoothing operator (which uses the same samples) is
     exact.  Nodes of the zero set map to exactly 1.  Also returns
     ||M_n - 1||_inf over the inside nodes.
+
+    In value mode the sup covers only the nodes the operator smooths
+    (``smoothed``); a node the subgrid guard leaves as the identity maps to
+    exactly 1, since there beta |T_n f| = beta |f| <= |f| <= alpha (M_n >= 1
+    gives beta <= 1).  Gradient mode keeps the sup at every node with a
+    positive step: the central-difference gradient of beta T_n f at a
+    guarded node mixes in its smoothed neighbours, so that argument does
+    not hold there.
     """
     dom = spec.domain
     theta = spec.theta_mask
@@ -98,6 +106,8 @@ def convergence_factor(spec: ConstraintSpec, eta: EtaProfile, n: int,
 
     pts = dom.node_coords(dom.inside_mask)
     step = eta.values[dom.inside_mask] / n
+    if spec.mode == "value":
+        step[~smoothed(step, dom.h)] = 0.0
     alpha_in = spec.alpha.values[dom.inside_mask]
     best = variable_step_max(pts, step, kernel, GridSample(dom, spec.alpha.values),
                              alpha_in)
@@ -115,10 +125,14 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
                     kernel: Kernel, n: int) -> tuple[ScalarField, dict]:
     """Smooth a feasible field and rescale it back into the constraint set.
 
-    Value mode scales by 1/(1 + ||M_n - 1||_inf); gradient mode additionally
-    accounts for the step-variation term through the certified gradient
-    bound of the step profile.  The output is checked to be feasible within
-    1e-8 + 3 h Lip(alpha).
+    Value mode scales by 1/(1 + ||M_n - 1||_inf), with M_n = 1 at the nodes
+    the subgrid guard leaves as the identity (``convergence_factor``), so
+    beta = 1 when no node is smoothed; gradient mode takes M_n at every node
+    with a positive step, and additionally accounts for the step-variation
+    term through the certified gradient bound of the step profile.  The
+    output is checked to be feasible within 1e-8 + 3 h Lip(alpha).  The
+    info's ``active_nodes`` counts the nodes the operator smoothed, in
+    value mode also the only ones the ball-max sampled.
     """
     member, worst, margin = membership(f, spec)
     if not member:
@@ -133,6 +147,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
 
     cfg = MollifierConfig(kernel, eta, n=n)
     tf = mollify(f, cfg)
+    active = int(smoothed(cfg.step_inside(), spec.domain.h).sum())
     g = ScalarField(spec.domain, beta * tf.values)
 
     slack = 1e-8 + 3.0 * spec.domain.h * _max_gradient(spec.domain, spec.alpha.values)
@@ -143,6 +158,7 @@ def feasible_smooth(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
             f"at node {worst_g}")
     return g, {
         "n": n,
+        "active_nodes": active,
         "beta": beta,
         "mn_sup": m_sup,
         "mn_sup_effective": m_sup_eff,
@@ -172,7 +188,9 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     set before smoothing); ``'W1p'`` and ``'gradient'`` measure W12 errors
     of the plain feasible iterates.  Every iterate's feasibility margin and
     scale factor are recorded as bound checks, and the iterates themselves
-    are kept on the report, in the order of ``n_list``.
+    are kept on the report, in the order of ``n_list``; ``extra`` holds per
+    n the scale ``beta``, ``mn_sup`` and the ``active_nodes`` the operator
+    smoothed.
     """
     _check_scheme(scheme, spec.mode)
     token = "L2" if scheme == "Lp" else "W12"
@@ -182,6 +200,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     report.errors[token] = []
     betas = []
     mn_sups = []
+    active = []
     for n in n_list:
         t0 = time.perf_counter()
         fn = f
@@ -194,6 +213,7 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
         report.add_check(f"feasible n={n}", info["margin"], info["margin_slack"])
         betas.append(info["beta"])
         mn_sups.append(info["mn_sup"])
+        active.append(info["active_nodes"])
         report.runtime_s.append(time.perf_counter() - t0)
 
     report.add_decay_checks(token)
@@ -201,4 +221,5 @@ def density_study(f: ScalarField, spec: ConstraintSpec, eta: EtaProfile,
     report.add_check("beta nondecreasing", max(beta_drops, default=0.0), 0.0, 1e-12)
     report.extra["beta"] = betas
     report.extra["mn_sup"] = mn_sups
+    report.extra["active_nodes"] = active
     return report

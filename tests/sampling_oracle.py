@@ -273,7 +273,10 @@ def convergence_factor(spec, eta, n, kernel):
     theta = spec.theta_mask
     pts = dom.node_coords(dom.inside_mask)
     alpha_in = spec.alpha.values[dom.inside_mask]
-    best = variable_step_max(pts, eta.values[dom.inside_mask] / n, kernel,
+    step = eta.values[dom.inside_mask] / n
+    if spec.mode == "value":  # the ball-max of the smoothed nodes only
+        step = np.where(step >= dom.h, step, 0.0)
+    best = variable_step_max(pts, step, kernel,
                              lambda p: interpolate(dom, spec.alpha.values, p),
                              alpha_in)
     m = np.ones(dom.shape)

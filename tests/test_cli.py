@@ -198,6 +198,10 @@ def test_feasible_subcommand(workdir):
     report = json.loads(out.read_text())
     assert all(c["pass"] for c in report["bound_checks"])
     assert (itdir / "iterate_n8.csv").exists()
+    # the smoothed node counts per n are deterministic, so --no-timestamp keeps them
+    active = report["extra"]["active_nodes"]
+    assert "runtime_s" not in report and len(active) == 4 and active[0] > 0
+    assert active == sorted(active, reverse=True)
 
 
 def _feasible_args(tmp_path, n="1,2,4"):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mollikit import _sampling
+from mollikit._sampling import GridSample, smoothed, variable_step_max
 from mollikit.eta import build_whitney_eta, calibrated_eta, estimate_modulus
 from mollikit.feasible import (ConstraintSpec, convergence_factor, density_study,
                                feasible_smooth, membership)
@@ -118,6 +120,72 @@ def test_factor_requires_vanishing_eta(line, kernel1d, wedge):
     alpha0 = ScalarField(line, wedge.values * (np.abs(x - 0.5) >= 0.25))
     with pytest.raises(ValueError, match="zero set"):
         convergence_factor(ConstraintSpec(alpha0, "value"), eta, 2, kernel1d)
+
+
+def _wedge_case():
+    line = Domain.box([(0.0, 1.0)], 1025)
+    x = line.axis_coords(0)
+    spec = ConstraintSpec(ScalarField(line, np.minimum(x, 1.0 - x)), "value")
+    base = build_whitney_eta(line, spec.theta_mask, 0.25)
+    return spec, calibrated_eta(line, spec.alpha, estimate_modulus(spec.alpha, base.values.max()),
+                                base), make_kernel("bump", 1, 32)
+
+
+def _box2d_case():
+    # Whitney steps on an anisotropic box: smoothed nodes in the middle,
+    # guarded ones near the boundary at n = 1 and 2, none smoothed at n = 4
+    dom = Domain.box([(0.0, 1.0), (0.0, 0.8)], (41, 33))
+    spec = ConstraintSpec(ScalarField(dom, dom.sigma().values.clip(min=0.0)), "value")
+    return spec, build_whitney_eta(dom, spec.theta_mask, 0.25), make_kernel("bump", 2, 12)
+
+
+@pytest.mark.parametrize("case, n_active", [
+    (_wedge_case, {1: 895, 4: 767, 16: 511, 64: 0}),
+    (_box2d_case, {1: 713, 2: 345, 4: 0}),
+], ids=["wedge1d", "box2d"])
+def test_value_ball_max_sweeps_the_smoothed_nodes_only(case, n_active, monkeypatch):
+    spec, eta, kernel = case()
+    dom = spec.domain
+    inside = dom.inside_mask
+    swept = []
+    cut = _sampling._blocks
+
+    def counted(m):
+        swept.append(m)
+        return cut(m)
+
+    monkeypatch.setattr(_sampling, "_blocks", counted)
+    rng = np.random.default_rng(3)
+    alpha = spec.alpha.values
+    fields = [spec.alpha, ScalarField(dom, alpha * rng.uniform(-1.0, 1.0, dom.shape))]
+    for n, count in n_active.items():
+        step = eta.values[inside] / n
+        active = smoothed(step, dom.h)
+        assert active.sum() == count and (step > 0.0).sum() > count
+        swept.clear()
+        m, sup = convergence_factor(spec, eta, n, kernel)
+        assert sum(swept) == count
+        m_in = m.values[inside]
+        assert (m_in[~active] == 1.0).all()
+        if count == 0:
+            assert sup == 0.0
+        cfg = MollifierConfig(kernel, eta, n=n)
+        for f in fields:
+            assert (np.abs(mollify(f, cfg).values[inside])
+                    <= m_in * alpha[inside] + 1e-10).all()
+
+        # gradient mode keeps the ball-max over every node with a positive
+        # step; the two modes agree bitwise at the smoothed nodes
+        swept.clear()
+        m_grad, _ = convergence_factor(ConstraintSpec(spec.alpha, "gradient"), eta, n, kernel)
+        assert sum(swept) == (step > 0.0).sum()
+        best = variable_step_max(dom.node_coords(inside), step, kernel,
+                                 GridSample(dom, alpha), alpha[inside])
+        free = ~spec.theta_mask[inside]
+        want = np.ones(len(step))
+        want[free] = best[free] / alpha[inside][free]
+        assert np.array_equal(m_grad.values[inside], want)
+        assert np.array_equal(m_in[active], want[active])
 
 
 # ---------------------------------------------------------------------- #

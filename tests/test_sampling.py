@@ -117,10 +117,11 @@ def test_operators_bitwise_equal_to_reference_loops(setup, parity, blocks, monke
         want = oracle.psi_field(f, eta1, eta0, n, kernel)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
-    spec = ConstraintSpec(setup["alpha"])
-    m, sup = convergence_factor(spec, eta1, 2, kernel)
-    m_ref, sup_ref = oracle.convergence_factor(spec, eta1, 2, kernel)
-    assert np.array_equal(m.values, m_ref) and sup == sup_ref
+    for mode in ("value", "gradient"):
+        spec = ConstraintSpec(setup["alpha"], mode)
+        m, sup = convergence_factor(spec, eta1, 2, kernel)
+        m_ref, sup_ref = oracle.convergence_factor(spec, eta1, 2, kernel)
+        assert np.array_equal(m.values, m_ref) and sup == sup_ref
     assert (max(counts) > 1) == (blocks > 1)
 
 
