@@ -137,12 +137,17 @@ class StudyReport:
 
     def add_decay_checks(self, token: str) -> None:
         """Check that the ``token`` errors decay over n: each step at most
-        1.05x the one before, the last at most 0.3x the first."""
+        1.05x the one before, the last at most 0.3x the first.  With a first
+        error of at most 1e-15 there is nothing to decay (the operator smoothed
+        nothing, say): both checks pass on 0, marked ``"vacuous": true``."""
         errs = self.errors[token]
         ratios = [e2 / e1 if e1 > 1e-15 else 0.0 for e1, e2 in zip(errs, errs[1:])]
         self.add_check(f"{token} monotone", max(ratios, default=0.0), 1.0, 0.05)
         final = errs[-1] / errs[0] if errs[0] > 1e-15 else 0.0
         self.add_check(f"{token} final decay", final, 0.3)
+        if errs[0] <= 1e-15:
+            for check in self.bound_checks[-2:]:
+                check["vacuous"] = True
 
     def passed(self) -> bool:
         return all(c["pass"] for c in self.bound_checks)
@@ -309,9 +314,10 @@ def tf0_quadrature(x: float) -> float:
 
 
 # The grid cross-check clips the spike at 16 h, and its closed form holds
-# while the clip stays inside the averaging window (0, 0.5] of x = 0.25,
-# that is h <= 1/32 on [0, 1].
-_COUNTEREXAMPLE_MIN_RES = 33
+# while the clip stays inside the averaging window (0, 0.5] of x = 0.25.  At
+# h = 1/32 the clip is the window's end and the clipped spike is flat over
+# it, so the check has something to check only for h < 1/32 on [0, 1].
+_COUNTEREXAMPLE_MIN_RES = 34
 
 
 def counterexample_run(resolutions: Sequence[int] = (4097,)) -> dict:
@@ -327,7 +333,7 @@ def counterexample_run(resolutions: Sequence[int] = (4097,)) -> dict:
     for res in resolutions:
         if int(res) < _COUNTEREXAMPLE_MIN_RES:
             raise ValueError(f"counterexample grid resolution {res} is below the minimum of "
-                             f"{_COUNTEREXAMPLE_MIN_RES} nodes that its closed form covers")
+                             f"{_COUNTEREXAMPLE_MIN_RES} nodes that its grid check needs")
     deltas = np.array([2.0 ** -k for k in range(4, 13)])
 
     tails = np.array([f0_l1_tail(d) for d in deltas])

@@ -139,12 +139,23 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
     return profile
 
 
+def _sigma_sample(domain: Domain, sigma: np.ndarray) -> GridSample | SigmaSample:
+    """The boundary distance that ``regularized_distance`` and ``bv_step_eta``
+    average: closed form on box and ball domains, and on a mask domain the
+    interpolant of node ``sigma``, the field they certify against."""
+    if domain.kind == "mask":
+        return GridSample(domain, sigma)
+    return SigmaSample(domain)
+
+
 def regularized_distance(domain: Domain, epsilon: float,
                          kernel: Kernel | None = None) -> EtaProfile:
     """Smoothed boundary distance certified inside [(1-eps), (1+eps)] * sigma.
 
-    The boundary distance is sampled in closed form (never interpolated), so
-    the sandwich certificate holds at every inside node without grid slack.
+    On box and ball domains the boundary distance is sampled in closed form;
+    on a mask domain node sigma is interpolated, so the sandwich is checked
+    against the same field that is averaged.  The certificate is asserted at
+    every inside node.
     """
     if not 1e-5 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [1e-5, 1)")
@@ -159,7 +170,7 @@ def regularized_distance(domain: Domain, epsilon: float,
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
     vals = variable_step_average(pts, base.values[domain.inside_mask], kernel,
-                                 [SigmaSample(domain)], [sigma[domain.inside_mask]],
+                                 [_sigma_sample(domain, sigma)], [sigma[domain.inside_mask]],
                                  domain.h).values[0]
     vals = np.minimum(vals, sigma[domain.inside_mask] * CLAMP)
 
@@ -222,7 +233,7 @@ def bv_step_eta(domain: Domain, n: int, quad_eta: EtaProfile,
     sigma = domain.sigma().values
     pts = domain.node_coords(domain.inside_mask)
     step = quad_eta.values[domain.inside_mask] / n
-    vals = variable_step_average(pts, step, kernel, [SigmaSample(domain)],
+    vals = variable_step_average(pts, step, kernel, [_sigma_sample(domain, sigma)],
                                  [sigma[domain.inside_mask]], domain.h).values[0]
     s = sigma[domain.inside_mask]
     vals = np.minimum(vals, s)

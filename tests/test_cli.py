@@ -167,7 +167,7 @@ def test_counterexample_subcommand(workdir):
 
 
 @pytest.mark.parametrize("resolutions, names", [
-    ("3,17,33", ["resolution 3", "33"]), ("", ["--resolutions"])], ids=["below-33", "empty"])
+    ("33,17,3", ["resolution 33", "34"]), ("", ["--resolutions"])], ids=["below-33", "empty"])
 def test_counterexample_refuses_uncovered_resolutions(resolutions, names, tmp_path, capsys):
     out = tmp_path / "ce.json"
     assert cli.main(["counterexample", "--resolutions", resolutions, "--out", str(out)]) == 2

@@ -303,3 +303,27 @@ def test_density_study_zero_input(line, kernel1d, wedge_setup):
                         [1, 2], "W1p")
     assert all(e == 0.0 for e in rep.errors["W12"])
     assert rep.passed()
+
+
+def _decay_checks(rep) -> list[dict]:
+    return [c for c in rep.bound_checks if c["name"] in ("W12 monotone", "W12 final decay")]
+
+
+def test_density_study_marks_decay_checks_vacuous_without_smoothing(line, kernel1d, wedge_setup,
+                                                                    wedge):
+    # at n = 4 and 8 the box case smooths no node, so every iterate is its
+    # input, the errors read 0 and the decay checks have nothing to check
+    spec, eta, kernel = _box2d_case()
+    rep = density_study(ScalarField(spec.domain, 0.5 * spec.alpha.values), spec, eta, kernel,
+                        [4, 8], "W1p")
+    assert rep.extra["active_nodes"] == [0, 0] and rep.errors["W12"] == [0.0, 0.0]
+    assert rep.passed()
+    assert [c.get("vacuous") for c in _decay_checks(rep)] == [True, True]
+
+    spec, cal = wedge_setup
+    rep = density_study(ScalarField(line, 0.9 * wedge.values), spec, cal, kernel1d,
+                        [1, 2, 4, 8, 16], "W1p")
+    assert min(rep.extra["active_nodes"]) > 0 and rep.passed()
+    checks = _decay_checks(rep)
+    assert len(checks) == 2 and not any("vacuous" in c for c in checks)
+

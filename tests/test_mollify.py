@@ -3,10 +3,11 @@ import threading
 import numpy as np
 import pytest
 
-from mollikit import _sampling, cli
-from mollikit._sampling import SigmaSample, _blocks, variable_step_average
+from mollikit import _sampling, cli, grid
+from mollikit._sampling import _blocks
 from mollikit.analysis import tf0_closed
-from mollikit.eta import EtaProfile, build_whitney_eta, quadratic_eta
+from mollikit.eta import (EtaProfile, build_whitney_eta, bv_step_eta, quadratic_eta,
+                          regularized_distance)
 from mollikit.grid import Domain, ScalarField, gradient_central
 from mollikit.kernels import make_kernel
 from mollikit.mollify import (MollifierConfig, composite_profile, modified_config,
@@ -208,48 +209,34 @@ def test_gradient_samples_each_component_once(square_cfg, monkeypatch):
     assert sum(sampled) == dom.dim * len(square_cfg.kernel.nodes) * active
 
 
-def test_mask_sigma_sweep_queries_the_tree_per_block(monkeypatch):
-    # per block one nearest-point query and one counting ball query, per
-    # sub-block one listing ball query; never one query per kernel node
-    x = np.linspace(-1.0, 1.0, 41)
+@pytest.mark.parametrize("edt", [False, True], ids=["tree", "edt"])
+def test_mask_step_builders_read_node_sigma_only(edt, monkeypatch):
+    # once node sigma is computed, the builders need no other distance: they
+    # average its interpolant and certify against it, from the KD-tree below
+    # EDT_NODE_LIMIT and from the distance transform above it (whose last
+    # bits differ from the tree's at some nodes of this grid)
+    x = np.linspace(-1.0, 1.0, 61)
     gx, gy = np.meshgrid(x, x, indexing="ij")
-    dom = Domain.from_mask([(0.0, 1.0), (0.0, 1.0)], gx * gx + gy * gy < 0.8)
-    pts = dom.node_coords()
-    step = 0.5 * dom.sigma_at(pts)
-    kernel = make_kernel("bump", 2, 16)
-    calls = {"query": 0, "count": 0, "list": 0, "sub-block": 0}
-    tree = dom._boundary_tree()
+    notch = (gx > 0.1) & (gx < 0.4) & (np.abs(gy) < 0.3)
+    dom = Domain.from_mask([(0.0, 1.0), (0.0, 1.0)], (gx * gx + gy * gy < 0.8) & ~notch)
+    if edt:
+        monkeypatch.setattr(grid, "EDT_NODE_LIMIT", dom.inside_mask.size - 1)
+    sigma = dom.sigma().values
+    tree_sigma = dom.sigma_at(dom.node_coords(np.ones(dom.shape, dtype=bool)))
+    assert (np.abs(sigma).reshape(-1) != tree_sigma).any() == edt
 
-    class CountingTree:
-        data = tree.data
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second distance source was read")
 
-        def query(self, *args, **kwargs):
-            calls["query"] += 1
-            return tree.query(*args, **kwargs)
-
-        def query_ball_point(self, *args, **kwargs):
-            calls["count" if kwargs.get("return_length") else "list"] += 1
-            return tree.query_ball_point(*args, **kwargs)
-
-    block_sampler = _sampling._block_sampler
-
-    def counting_sampler(*args):
-        calls["sub-block"] += 1
-        return block_sampler(*args)
-
-    monkeypatch.setattr(dom, "_face_tree", CountingTree())
-    monkeypatch.setattr(_sampling, "_block_sampler", counting_sampler)
-    monkeypatch.setattr(_sampling, "_BLOCK", 256)
-    monkeypatch.setattr(_sampling, "_BLOCK_PAIRS", 1000)
-    want = variable_step_average(pts, step, kernel, [SigmaSample(dom)], [step], dom.h)
-    blocks = max(1, int((step >= dom.h).sum()) // 256)  # near-equal blocks, no tail
-    assert blocks > 1
-    assert calls["query"] == calls["count"] == blocks < calls["sub-block"] == calls["list"]
-    assert calls["list"] < len(kernel.nodes)
-
-    monkeypatch.setattr(_sampling, "_BLOCK_PAIRS", 10**9)  # sub-blocks change no bit
-    got = variable_step_average(pts, step, kernel, [SigmaSample(dom)], [step], dom.h)
-    assert np.array_equal(got.values, want.values)
+    monkeypatch.setattr(Domain, "sigma_at", refuse)
+    monkeypatch.setattr(Domain, "_boundary_tree", refuse)
+    # each builder asserts its certificate at every inside node, and each
+    # of these smooths some node
+    regularized_distance(dom, 0.1)
+    quad = quadratic_eta(dom, 0.1)
+    bv_step_eta(dom, 2, quad)
+    assert (build_whitney_eta(dom, None, 0.1).values >= dom.h).any()
+    assert (quad.values / 2 >= dom.h).any()
 
 
 def test_thread_count_does_not_change_bits(quad_cfg, monkeypatch):
