@@ -10,22 +10,33 @@ so no short tail block pays the per-node cost for a few points.
 
 Every sample is taken in two halves: per block of points, an axis half runs
 once per distinct node coordinate on each axis, on ``x_a - s z_a``; then a
-combine half runs once per node on its axes' entries.  For grid fields
-(``GridSample``) these are ``Domain._axis_cells`` and, with the flat offsets
-summed, ``Domain._blend`` over the tables of the whole field stack, which
-``Domain._blend_tables`` builds once per sweep (the stack and its last-axis
-differences), so no node redoes a subtraction that depends on the field
-alone; for box and ball distances (``SigmaSample``), ``Domain._sigma_axis``
-and ``Domain._sigma_combine``, the halves of ``interpolate`` and
-``sigma_at``.
+combine half runs once per tile of nodes on its axes' entries.  For grid
+fields (``GridSample``) these are ``Domain._axis_cells`` and, with the flat
+offsets summed, ``Domain._blend`` over the tables of the whole field stack,
+which ``Domain._blend_tables`` builds once per sweep (the stack and its
+last-axis differences), so no node redoes a subtraction that depends on the
+field alone; for box and ball distances (``SigmaSample``),
+``Domain._sigma_axis`` and ``Domain._sigma_combine``, the halves of
+``interpolate`` and ``sigma_at``.
 Each coordinate is the product and difference of ``points[i] - step[i] *
 nodes[k]``, so every sample is bitwise what ``interpolate`` or ``sigma_at``
 returns there.  A plain callable (and ``SigmaSample`` on a mask domain) has
-the coordinate as its axis half and is called once per node on the stacked
-coordinates.
+the coordinate as its axis half and is called once per tile on the stacked
+coordinates of the tile's nodes.
+
+A tile holds ``max(1, _BLOCK // M)`` consecutive kernel nodes of a block of
+M points (``_tile``), so the combine half runs on (tile, M) entries and
+makes (F, tile, M) samples, at most F ``_BLOCK`` values: a small sweep pays
+the combine's dozen or so numpy calls once per tile instead of once per
+node, and the block still bounds the memory.  A block of more than
+``_BLOCK / 2`` points has one node per tile and runs the calls of a
+per-node loop on the axis half's own arrays, without a copy.  The weighted
+sum, the hull and the z-dot term still take the nodes one at a time, in
+node order: ``np.minimum`` and ``np.maximum`` return one operand of a tie,
+so another order could flip the sign of a zero in ``lo`` or ``hi``.
 
 ``column_sums`` scatters the transpose of a grid sweep's weighted sum over
-the same cells.
+the same cells, one node at a time.
 """
 
 from __future__ import annotations
@@ -40,13 +51,20 @@ from .grid import Domain
 from .kernels import Kernel
 
 
-# Points per block of a sweep.  A block's axis tables hold one axis-half
-# entry per distinct node coordinate per axis, each as long as the block, so
-# the block bounds the sweep's memory.  The m points of a sweep are cut into
-# max(1, m // _BLOCK) near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points
-# (fewer only in a sweep shorter than _BLOCK), so no short tail block pays a
-# node loop.
+# Points per block of a sweep, and the size of a node tile.  A block's axis
+# tables hold one axis-half entry per distinct node coordinate per axis, each
+# as long as the block, and a tile of max(1, _BLOCK // M) nodes of a block of
+# M points holds at most F * _BLOCK samples, so the block bounds the sweep's
+# memory.  The m points of a sweep are cut into max(1, m // _BLOCK)
+# near-equal blocks, from _BLOCK to 2 * _BLOCK - 1 points (fewer only in a
+# sweep shorter than _BLOCK), so no short tail block pays a node loop; only
+# such a short sweep can have more than one node per tile.
 _BLOCK = 4096
+
+
+def _tile(m: int) -> int:
+    """Kernel nodes per tile in a block of ``m`` points (see ``_BLOCK``)."""
+    return max(1, _BLOCK // m)
 
 
 def _blocks(m: int) -> list[slice]:
@@ -88,10 +106,11 @@ class SigmaSample:
 def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
     """The halves of a sweep's sample functions.
 
-    The axis half maps ``(axis, coords)`` to an entry whose last item masks
-    the coordinates outside the closed bbox (None where none can be); the
-    combine half maps a node's entries, in axis order, to its (F, M)
-    samples."""
+    The axis half maps ``(axis, coords)``, coordinates of any shape, to an
+    entry of arrays of that shape whose last item masks the coordinates
+    outside the closed bbox (None where none can be); the combine half maps
+    the entries of a node or a tile, in axis order and without their masks,
+    each (M,) or (tile, M), to its (F, M) or (F, tile, M) samples."""
     first = sample_fns[0]
     dom = getattr(first, "domain", None)
     if all(isinstance(fn, GridSample) and fn.clamp == first.clamp
@@ -103,10 +122,14 @@ def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
                                          [c[1] for c in cells]))
     if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind != "mask":
         return (lambda axis, c: (dom._sigma_axis(axis, c), None),
-                lambda terms: dom._sigma_combine([t for t, _ in terms])[None])
-    return (lambda axis, c: (c, None),
-            lambda coords: np.array([fn(np.column_stack([c for c, _ in coords]))
-                                     for fn in sample_fns], dtype=float))
+                lambda terms: dom._sigma_combine([t[0] for t in terms])[None])
+
+    def called(coords):
+        shape = coords[0][0].shape
+        points = np.column_stack([c[0].reshape(-1) for c in coords])
+        return np.array([np.reshape(fn(points), shape) for fn in sample_fns], dtype=float)
+
+    return lambda axis, c: (c, None), called
 
 
 def _node_error(k: int, z: np.ndarray, err: str) -> ValueError:
@@ -114,30 +137,59 @@ def _node_error(k: int, z: np.ndarray, err: str) -> ValueError:
 
 
 def _block_sampler(halves, axis_values, x, s, nodes):
-    """Per-node samples of one block of points ``x`` with steps ``s``.
+    """The samples of one block of points ``x`` with steps ``s``, one tile
+    of kernel nodes at a time.
 
-    Each axis coordinate ``x_a - s z_a`` goes through the axis half once per
-    distinct ``z_a`` (see ``_axis_values``), so a node costs one combine of
-    its axes' entries.  A sample outside the closed bbox (possible only when
-    the step invariant is broken) raises before any node of the block is
-    sampled, naming the first such node and its point."""
+    Returns ``sample(start, stop)``: the samples of nodes ``start`` up to
+    ``stop`` (a tile, see ``_tile``; ``stop`` may pass the last node) as a
+    sequence of (F, M) arrays, one per node.  Each axis coordinate ``x_a -
+    s z_a`` goes through the axis half once per distinct ``z_a`` (see
+    ``_axis_values``), so a tile costs one combine of its nodes' entries.
+    At one node per tile the axis half runs once per distinct coordinate
+    and the combine takes its arrays as they are; at more, the axis half
+    runs once per axis on the (distinct coordinates, M) array and a tile
+    gathers its nodes' rows.  A sample outside the closed bbox (possible
+    only when the step invariant is broken) raises before any node of the
+    block is sampled, naming the first such node and its point; a
+    ``ValueError`` in a combine is re-raised naming the first node of the
+    tile that raises it alone."""
     axis_half, combine = halves
-    tables = [(which, [axis_half(axis, x[:, axis] - s * z) for z in values])
-              for axis, (values, which) in enumerate(axis_values)]
-    node_outside = np.any([np.array([out is not None and out.any() for *_, out in entries])[which]
-                           for which, entries in tables], axis=0)
+    per_node = _tile(len(x)) == 1
+    tables = []
+    for axis, (values, which) in enumerate(axis_values):
+        if per_node:
+            entries = [axis_half(axis, x[:, axis] - s * z) for z in values]
+            tables.append((which, [e[:-1] for e in entries], [e[-1] for e in entries]))
+        else:
+            *parts, outs = axis_half(axis, x[:, axis] - s * values[:, None])
+            tables.append((np.asarray(which), parts,
+                           [None] * len(values) if outs is None else outs))
+    node_outside = np.any([np.array([out is not None and out.any() for out in outs])[which]
+                           for which, _, outs in tables], axis=0)
     if node_outside.any():
         k = int(np.argmax(node_outside))
-        i = int(np.argmax(np.any([entries[which[k]][-1] for which, entries in tables], axis=0)))
+        i = int(np.argmax(np.any([outs[which[k]] for which, _, outs in tables], axis=0)))
         raise _node_error(k, nodes[k], (
             f"evaluation outside the closed domain bbox at point "
             f"{x[i] - s[i] * nodes[k]} (step invariant violated)"))
 
-    def sample(k: int) -> np.ndarray:
+    def combined(start: int, stop: int):
+        if per_node:
+            return [combine([entries[which[start]] for which, entries, _ in tables])]
+        return np.ascontiguousarray(combine([[part.take(which[start:stop], axis=0)
+                                              for part in parts]
+                                             for which, parts, _ in tables]).swapaxes(0, 1))
+
+    def sample(start: int, stop: int):
         try:
-            return combine([entries[which[k]] for which, entries in tables])
-        except ValueError as err:
-            raise _node_error(k, nodes[k], str(err)) from err
+            return combined(start, stop)
+        except ValueError:
+            for k in range(start, min(stop, len(nodes))):  # the tile again, node by node
+                try:
+                    combined(k, k + 1)
+                except ValueError as err:
+                    raise _node_error(k, nodes[k], str(err)) from err
+            raise
 
     return sample
 
@@ -177,22 +229,23 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
     axis_values = _axis_values(nodes)
 
     def block(sample, acc, low, high, pr) -> None:
-        for k, z in enumerate(nodes):
-            vals = sample(k)
-            acc += coeffs[k] * vals
-            np.minimum(low, vals, out=low)
-            np.maximum(high, vals, out=high)
-            if k >= paired_count:
-                continue
-            if k % 2 == 0:
-                prev = vals
-                continue
-            mirror = nodes[k - 1]
-            diff = np.zeros(len(pr))
-            for axis, za in enumerate(mirror):
-                if za != 0.0:
-                    diff += za * (vals[axis] - prev[axis])
-            pr += coeffs[k - 1] * diff
+        tile = _tile(len(pr))
+        for start in range(0, len(nodes), tile):
+            for k, vals in enumerate(sample(start, start + tile), start):
+                acc += coeffs[k] * vals
+                np.minimum(low, vals, out=low)
+                np.maximum(high, vals, out=high)
+                if k >= paired_count:
+                    continue
+                if k % 2 == 0:
+                    prev = vals
+                    continue
+                mirror = nodes[k - 1]
+                diff = np.zeros(len(pr))
+                for axis, za in enumerate(mirror):
+                    if za != 0.0:
+                        diff += za * (vals[axis] - prev[axis])
+                pr += coeffs[k - 1] * diff
 
     for b in _blocks(m):
         x, s = points[act_idx[b]], step[act_idx[b]]

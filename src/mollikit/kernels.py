@@ -83,11 +83,6 @@ class Kernel:
     def smooth(self) -> bool:
         return self.profile != "box"
 
-    @property
-    def support_radius(self) -> float:
-        """Largest |z_k| over the retained quadrature nodes (< 1)."""
-        return float(np.sqrt((self.nodes ** 2).sum(axis=1)).max())
-
 
 def make_kernel(profile: str, dim: int, order: int, n: int | None = None) -> Kernel:
     """Midpoint-rule kernel on the symmetric lattice of spacing 2/order.

@@ -24,14 +24,7 @@ import numpy as np
 from mollikit.grid import gradient_central
 
 
-def variable_step_average(points, step, kernel, sample_fn, identity_values, h):
-    points = np.atleast_2d(points)
-    out = np.array(identity_values, dtype=float, copy=True)
-    active = step >= h
-    if not active.any():
-        return out, active
-    x = points[active]
-    s = step[active][:, None]
+def _hull_loop(x, s, kernel, sample_fn):
     acc = np.zeros(len(x))
     lo = np.full(len(x), np.inf)
     hi = np.full(len(x), -np.inf)
@@ -40,6 +33,16 @@ def variable_step_average(points, step, kernel, sample_fn, identity_values, h):
         acc += kernel.coeffs[k] * vals
         np.minimum(lo, vals, out=lo)
         np.maximum(hi, vals, out=hi)
+    return acc, lo, hi
+
+
+def variable_step_average(points, step, kernel, sample_fn, identity_values, h):
+    points = np.atleast_2d(points)
+    out = np.array(identity_values, dtype=float, copy=True)
+    active = step >= h
+    if not active.any():
+        return out, active
+    acc, lo, hi = _hull_loop(points[active], step[active][:, None], kernel, sample_fn)
     out[active] = np.clip(acc, lo, hi)
     return out, active
 
@@ -63,6 +66,26 @@ def weighted_z_dot(points, step, kernel, grad_sample_fns, h):
         acc += kernel.coeffs[2 * p] * diff
     out[active] = acc
     return out
+
+
+def z_dot_sweep(points, step, kernel, sample_fns, identity_values, h):
+    """What ``mollikit._sampling.weighted_z_dot`` returns, from the loops
+    above: per field the hull-clamped average, the hull ``lo`` and ``hi``
+    and what the clamp added (each field over its own node loop), and the
+    z-dot sum of the first N fields (over the mirror-pair loop)."""
+    points = np.atleast_2d(points)
+    active = step >= h
+    x, s = points[active], step[active][:, None]
+    rows = []
+    for fn, ident in zip(sample_fns, identity_values):
+        values = np.array(ident, dtype=float, copy=True)
+        lo, hi, clamped = values.copy(), values.copy(), np.zeros(len(values))
+        acc, lo[active], hi[active] = _hull_loop(x, s, kernel, fn)
+        values[active] = np.clip(acc, lo[active], hi[active])
+        clamped[active] = values[active] - acc
+        rows.append((values, lo, hi, clamped))
+    zdot = weighted_z_dot(points, step, kernel, sample_fns[:points.shape[1]], h)
+    return (*(np.array(r) for r in zip(*rows)), zdot)
 
 
 def variable_step_max(points, step, kernel, sample_fn, identity_values):

@@ -5,8 +5,9 @@ from scipy.integrate import quad
 from mollikit.eta import (FLOOR_SLOPE, CertificationError, ModulusOfContinuity,
                           build_whitney_eta, bv_step_eta, calibrated_eta, estimate_modulus,
                           quadratic_eta, regularized_distance)
-from mollikit.grid import Domain, ScalarField, distance_field, second_differences
+from mollikit.grid import Domain, ScalarField, distance_field
 from mollikit.kernels import make_kernel
+from grid_helpers import second_differences
 from modulus_oracle import discrete_modulus, modulus_at
 from test_acceptance import _disk_alpha
 

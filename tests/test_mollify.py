@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from grid_helpers import support_radius
 from mollikit import _sampling, cli, grid
 from mollikit._sampling import _blocks
 from mollikit.analysis import tf0_closed
@@ -136,7 +137,7 @@ def test_support_preservation(line, kernel1d):
     tf = mollify(ScalarField(line, vals), cfg)
     step = np.zeros(line.shape)
     step[line.inside_mask] = cfg.step_inside()
-    reach = sigma + step * cfg.kernel.support_radius + line.h * np.sqrt(line.dim)
+    reach = sigma + step * support_radius(cfg.kernel) + line.h * np.sqrt(line.dim)
     safe = line.inside_mask & (reach < w)
     assert safe.any()
     assert (tf.values[safe] == 0.0).all()
@@ -198,7 +199,7 @@ def test_gradient_samples_each_component_once(square_cfg, monkeypatch):
     blend = Domain._blend
 
     def counting(self, tables, base, fracs):
-        sampled.append(tables[0].shape[0] * len(base))  # fields x points
+        sampled.append(tables[0].shape[0] * base.size)  # fields x nodes x points
         return blend(self, tables, base, fracs)
 
     f = ScalarField.from_function(dom, lambda x, y: np.sin(3 * x) * y)

@@ -4,6 +4,8 @@ of ``sampling_oracle``, bit for bit, over box, ball and mask domains in 1D,
 carry the origin node and zero node components), in one block and in
 several."""
 
+import gc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -13,7 +15,7 @@ import sampling_oracle as oracle
 from mollikit import _sampling
 from mollikit import eta as eta_mod
 from mollikit._sampling import (GridSample, SigmaSample, _axis_values, _block_sampler,
-                                _halves, _sweep, variable_step_average)
+                                _halves, _sweep, variable_step_average, weighted_z_dot)
 from mollikit.analysis import trace_check
 from mollikit.eta import build_whitney_eta, bv_step_eta, quadratic_eta, regularized_distance
 from mollikit.feasible import ConstraintSpec, convergence_factor
@@ -246,6 +248,115 @@ def test_sweep_outside_the_bbox_names_the_node_and_point():
     assert f"at point {point}" in str(err.value)
 
 
+def _record_tiles(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch the sweep to record (points, start, stop) of every tile it samples."""
+    tiles = []
+    block_sampler = _sampling._block_sampler
+
+    def recording(halves, axis_values, xb, s, nodes):
+        sample = block_sampler(halves, axis_values, xb, s, nodes)
+
+        def tile(start, stop):
+            tiles.append((len(xb), start, min(stop, len(nodes))))
+            return sample(start, stop)
+
+        return tile
+
+    monkeypatch.setattr(_sampling, "_block_sampler", recording)
+    return tiles
+
+
+def test_node_tiles_bitwise_equal_to_reference_loops(monkeypatch):
+    # a field with +0.0 and -0.0 regions, 0.9 alpha u with alpha = 0 on a
+    # disk, and its gradient: values, hull, clamp and z-dot match the
+    # reference loops in every bit, signed zeros included, in tiles of 5
+    # nodes (odd, so that mirror pairs straddle tile edges) and of 1
+    dom = Domain.box([(0.0, 1.3), (-0.2, 0.5)], (41, 29))
+    gx, gy = dom.node_grids()
+    alpha = np.where((gx - 0.6) ** 2 + (gy - 0.3) ** 2 < 0.06, 0.0, 1.0 + gx * gy)
+    u = np.random.default_rng(3).standard_normal(dom.shape)
+    f = ScalarField(dom, 0.9 * alpha * u)
+    fields = [*gradient_central(f).components, f]
+    kernel = make_kernel("bump", 2, 8)
+    pts = dom.node_coords()
+    step = build_whitney_eta(dom, None, 0.5).values[dom.inside_mask]
+    ident = [g.values[dom.inside_mask] for g in fields]
+    m = int((step >= dom.h).sum())
+    want = oracle.z_dot_sweep(pts, step, kernel, [oracle._sample(g, False) for g in fields],
+                              ident, dom.h)
+    assert any((w == 0.0).any() and np.signbit(w[w == 0.0]).any() for w in want[1:3])
+    tiles = _record_tiles(monkeypatch)
+    for block, tile in ((5 * m, 5), (32, 1)):
+        monkeypatch.setattr(_sampling, "_BLOCK", block)
+        tiles.clear()
+        got = weighted_z_dot(pts, step, kernel, [GridSample(dom, g.values) for g in fields],
+                             ident, dom.h)
+        for a, b in zip((got.values, got.lo, got.hi, got.clamped, got.zdot), want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert max(stop - start for _, start, stop in tiles) == tile
+        if tile > 1:  # some pair (2p, 2p + 1) of the z-dot sum is split across two tiles
+            assert any(start % 2 and start < kernel.paired_count for _, start, _ in tiles)
+        else:
+            assert len({points for points, _, _ in tiles}) > 1  # in several blocks
+
+
+@pytest.mark.parametrize("block", [_sampling._BLOCK, 32], ids=["tiles", "one-node"])
+def test_sweep_leaves_no_reference_cycle(block, monkeypatch):
+    # a block's axis tables are freed when its sampling ends, not at the
+    # next garbage collection, so that no two blocks' tables (nor two
+    # sweeps') are alive at once
+    monkeypatch.setattr(_sampling, "_BLOCK", block)
+    dom = _domain("box", 2)
+    kernel = make_kernel("bump", 2, 8)
+    pts = dom.node_coords()
+    step = 0.5 * dom.sigma().values[dom.inside_mask]
+    field = np.random.default_rng(0).standard_normal(dom.shape)
+    gc.collect()
+    gc.disable()
+    try:
+        for fns in ([GridSample(dom, field)], [SigmaSample(dom)], [lambda p: p[:, 0]]):
+            _sweep(pts, step, np.arange(len(pts)), kernel.nodes, kernel.coeffs, fns)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("block", [_sampling._BLOCK, 2], ids=["tiles", "one-node"])
+def test_failure_in_a_tile_names_the_first_failing_node(block, monkeypatch):
+    # the first node whose sample fails sits in the middle of a tile of all
+    # 52 nodes at the default block, and in a tile of its own at block 2
+    dom = _domain("box", 2)
+    kernel = make_kernel("bump", 2, 8)
+    pts = dom.node_coords()[[200, 400, 600]]
+    step = np.full(3, 0.05)
+    reach = (pts[:, None, 1] - step[:, None] * kernel.nodes[None, :, 1]).max(axis=0)
+    cut = np.sort(np.unique(reach))[-2]  # nodes reaching beyond it on axis 1 fail
+    k = int(np.argmax(reach > cut))
+    assert 0 < k < len(kernel.nodes) - 1
+    tiles = _record_tiles(monkeypatch)
+    monkeypatch.setattr(_sampling, "_BLOCK", block)
+
+    def capped(p):
+        if (p[:, 1] > cut).any():
+            raise ValueError("beyond the cap")
+        return p[:, 0]
+
+    named = f"kernel node k={k}, z_k={kernel.nodes[k]}"
+    with pytest.raises(ValueError, match="beyond the cap") as err:
+        variable_step_average(pts, step, kernel, [capped], [np.zeros(3)], dom.h)
+    assert named in str(err.value)
+    assert max(stop - start for _, start, stop in tiles) == (len(kernel.nodes) if block > 2 else 1)
+
+    # the same node, when its samples leave the bbox of a grid field
+    shifted = replace(dom, bbox=(dom.bbox[0], (dom.bbox[1][0], cut)))
+    i = int(np.argmax(pts[:, 1] - step * kernel.nodes[k, 1] > cut))
+    with pytest.raises(ValueError, match="step invariant") as err:
+        variable_step_average(pts, step, kernel, [GridSample(shifted, np.zeros(dom.shape))],
+                              [np.zeros(3)], dom.h)
+    assert named in str(err.value)
+    assert f"at point {pts[i] - step[i] * kernel.nodes[k]}" in str(err.value)
+
+
 # lo = 0.0 on the first axis in 1D and 3D, so that a -0.0 coordinate there
 # gives a -0.0 box distance
 SIGMA_BBOX = {1: [(0.0, 1.3)],
@@ -288,15 +399,20 @@ def test_sigma_samples_bitwise_equal_to_sigma_at(kind, dim, monkeypatch):
     assert any((w == 0.0).any() for w in want)
     assert any(np.signbit(w).any() for w in want)
 
-    # in blocks of 64 points, every sample bitwise sigma_at
-    monkeypatch.setattr(_sampling, "_BLOCK", 64)
-    blocks = _sampling._blocks(len(x))
-    assert len(blocks) > 1
+    # in one block of tiles of many nodes, and in blocks of 64 points and
+    # tiles of one node, every sample bitwise sigma_at
     halves = _halves([SigmaSample(dom)])
-    for b in blocks:
-        sample = _block_sampler(halves, _axis_values(nodes), x[b], s[b], nodes)
-        for k, w in enumerate(want):
-            assert sample(k)[0].tobytes() == w[b].tobytes(), k  # the sign of every zero too
+    tiles = set()
+    for block in (_sampling._BLOCK, 64):
+        monkeypatch.setattr(_sampling, "_BLOCK", block)
+        for b in _sampling._blocks(len(x)):
+            sample = _block_sampler(halves, _axis_values(nodes), x[b], s[b], nodes)
+            tile = _sampling._tile(b.stop - b.start)
+            tiles.add(tile)
+            for start in range(0, len(nodes), tile):
+                for k, vals in enumerate(sample(start, start + tile), start):
+                    assert vals[0].tobytes() == want[k][b].tobytes(), k  # signed zeros too
+    assert 1 in tiles and max(tiles) > 1
 
     # the whole sweep, in several blocks, never calls sigma_at and matches
     # a loop over sigma_at in every bit
