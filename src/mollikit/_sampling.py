@@ -35,8 +35,9 @@ sum, the hull and the z-dot term still take the nodes one at a time, in
 node order: ``np.minimum`` and ``np.maximum`` return one operand of a tie,
 so another order could flip the sign of a zero in ``lo`` or ``hi``.
 
-``column_sums`` scatters the transpose of a grid sweep's weighted sum over
-the same cells, one node at a time.
+``column_sums`` is the transpose of a grid sweep's weighted sum: in the
+sweep's blocks, on the cells of the same axis tables and bbox check
+(``_axis_tables``), it scatters each node's corner weights in node order.
 """
 
 from __future__ import annotations
@@ -68,28 +69,26 @@ def _tile(m: int) -> int:
 
 
 def _blocks(m: int) -> list[slice]:
-    """The near-equal blocks of a sweep over ``m`` points (see ``_BLOCK``)."""
+    """The near-equal blocks of a sweep over ``m`` points, none if 0 (see ``_BLOCK``)."""
     count = max(1, m // _BLOCK)
     edges = [i * m // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
 @dataclass(frozen=True, eq=False)
 class GridSample:
     """A node array on a domain's grid as a sample function.
 
-    Calling it interpolates, pulling points onto the bounding box when
-    ``clamp``.  A sweep whose sample functions are all ``GridSample``s of one
-    grid and one ``clamp`` gathers them as one (F, nodes) stack instead,
-    through cell tables shared by every field and node.
+    Calling it interpolates.  A sweep whose sample functions are all
+    ``GridSample``s of one grid gathers them as one (F, nodes) stack
+    instead, through cell tables shared by every field and node.
     """
 
     domain: Domain
     values: np.ndarray
-    clamp: bool = False
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        return self.domain.interpolate(self.values, p, clamp=self.clamp)
+        return self.domain.interpolate(self.values, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +112,11 @@ def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
     each (M,) or (tile, M), to its (F, M) or (F, tile, M) samples."""
     first = sample_fns[0]
     dom = getattr(first, "domain", None)
-    if all(isinstance(fn, GridSample) and fn.clamp == first.clamp
+    if all(isinstance(fn, GridSample)
            and (fn.domain.shape, fn.domain.bbox) == (dom.shape, dom.bbox) for fn in sample_fns):
         tables = dom._blend_tables(
             np.array([np.reshape(fn.values, -1) for fn in sample_fns], dtype=float))
-        return (lambda axis, c: dom._axis_cells(axis, c, first.clamp),
+        return (dom._axis_cells,
                 lambda cells: dom._blend(tables, reduce(np.add, [c[0] for c in cells]),
                                          [c[1] for c in cells]))
     if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind != "mask":
@@ -136,49 +135,55 @@ def _node_error(k: int, z: np.ndarray, err: str) -> ValueError:
     return ValueError(f"sampling failed at kernel node k={k}, z_k={z}: {err}")
 
 
-def _block_sampler(halves, axis_values, x, s, nodes):
-    """The samples of one block of points ``x`` with steps ``s``, one tile
-    of kernel nodes at a time.
-
-    Returns ``sample(start, stop)``: the samples of nodes ``start`` up to
-    ``stop`` (a tile, see ``_tile``; ``stop`` may pass the last node) as a
-    sequence of (F, M) arrays, one per node.  Each axis coordinate ``x_a -
-    s z_a`` goes through the axis half once per distinct ``z_a`` (see
-    ``_axis_values``), so a tile costs one combine of its nodes' entries.
-    At one node per tile the axis half runs once per distinct coordinate
-    and the combine takes its arrays as they are; at more, the axis half
-    runs once per axis on the (distinct coordinates, M) array and a tile
-    gathers its nodes' rows.  A sample outside the closed bbox (possible
-    only when the step invariant is broken) raises before any node of the
-    block is sampled, naming the first such node and its point; a
-    ``ValueError`` in a combine is re-raised naming the first node of the
-    tile that raises it alone."""
-    axis_half, combine = halves
+def _axis_tables(axis_half, axis_values, x, s, nodes):
+    """Per axis, each node's index into the distinct coordinates
+    (``_axis_values``) and the items of the axis half's entries on a block
+    of points ``x`` with steps ``s``: at one node per tile (``_tile``) an
+    item lists one (M,) array per distinct ``x_a - s z_a``, at more it is one
+    (distinct, M) array.  The masks go after the bbox check, which names the
+    first node and point outside the closed bbox (a broken step invariant)."""
     per_node = _tile(len(x)) == 1
     tables = []
     for axis, (values, which) in enumerate(axis_values):
         if per_node:
-            entries = [axis_half(axis, x[:, axis] - s * z) for z in values]
-            tables.append((which, [e[:-1] for e in entries], [e[-1] for e in entries]))
+            *parts, outs = zip(*[axis_half(axis, x[:, axis] - s * z) for z in values])
         else:
             *parts, outs = axis_half(axis, x[:, axis] - s * values[:, None])
-            tables.append((np.asarray(which), parts,
-                           [None] * len(values) if outs is None else outs))
+            which = np.asarray(which)
+        tables.append((which, parts, [None] * len(values) if outs is None else outs))
     node_outside = np.any([np.array([out is not None and out.any() for out in outs])[which]
                            for which, _, outs in tables], axis=0)
     if node_outside.any():
         k = int(np.argmax(node_outside))
         i = int(np.argmax(np.any([outs[which[k]] for which, _, outs in tables], axis=0)))
-        raise _node_error(k, nodes[k], (
-            f"evaluation outside the closed domain bbox at point "
-            f"{x[i] - s[i] * nodes[k]} (step invariant violated)"))
+        raise _node_error(k, nodes[k], "evaluation outside the closed domain bbox at point "
+                          f"{x[i] - s[i] * nodes[k]} (step invariant violated)")
+    return [(which, parts) for which, parts, _ in tables]
+
+
+def _node_entries(tables, k: int) -> list[list[np.ndarray]]:
+    """Per axis, node ``k``'s entry in ``_axis_tables``, in either layout."""
+    return [[part[which[k]] for part in parts] for which, parts in tables]
+
+
+def _block_sampler(halves, axis_values, x, s, nodes):
+    """The samples of one block of points ``x`` with steps ``s``:
+    ``sample(start, stop)`` returns those of nodes ``start`` up to ``stop``
+    (a tile, see ``_tile``; ``stop`` may pass the last node), one (F, M)
+    array per node, from one combine of the entries of ``_axis_tables``, as
+    they are at one node per tile and gathered at more.  A ``ValueError`` in
+    a combine is re-raised naming the first node of the tile that raises it
+    alone."""
+    axis_half, combine = halves
+    per_node = _tile(len(x)) == 1
+    tables = _axis_tables(axis_half, axis_values, x, s, nodes)
 
     def combined(start: int, stop: int):
         if per_node:
-            return [combine([entries[which[start]] for which, entries, _ in tables])]
+            return [combine(_node_entries(tables, start))]
         return np.ascontiguousarray(combine([[part.take(which[start:stop], axis=0)
                                               for part in parts]
-                                             for which, parts, _ in tables]).swapaxes(0, 1))
+                                             for which, parts in tables]).swapaxes(0, 1))
 
     def sample(start: int, stop: int):
         try:
@@ -255,23 +260,20 @@ def _sweep(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray,
 
 
 def column_sums(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray, kernel: Kernel,
-                dom: Domain, clamp: bool) -> np.ndarray:
+                dom: Domain) -> np.ndarray:
     """Per flat node of ``dom``'s grid, the column sum of a ``GridSample``
-    sweep's weighted sum over ``act_idx`` as a linear map of the node values
-    (the hull clamp left out): ``coeffs_k`` times the multilinear corner
-    weights of each ``points[i] - step[i] * nodes[k]``, taken through the
-    sweep's own ``Domain._axis_cells`` and scattered by ``Domain._spread``.
-    In blocks of ``_BLOCK`` points."""
+    sweep's weighted sum over ``act_idx`` (the hull clamp left out):
+    ``coeffs_k`` times the corner weights of each ``points[i] - step[i] *
+    nodes[k]``, in the sweep's blocks, from its ``Domain._axis_cells``
+    tables and bbox check (``_axis_tables``), scattered by ``Domain._spread``."""
     axis_values = _axis_values(kernel.nodes)
     total = np.zeros(dom.inside_mask.size)
-    for start in range(0, len(act_idx), _BLOCK):
-        idx = act_idx[start:start + _BLOCK]
-        x, s = points[idx], step[idx]
-        tables = [(which, [dom._axis_cells(axis, x[:, axis] - s * z, clamp)[:2] for z in values])
-                  for axis, (values, which) in enumerate(axis_values)]
+    for b in _blocks(len(act_idx)):
+        x, s = points[act_idx[b]], step[act_idx[b]]
+        tables = _axis_tables(dom._axis_cells, axis_values, x, s, kernel.nodes)
         for k, c in enumerate(kernel.coeffs):
-            cells = [entries[which[k]] for which, entries in tables]
-            total += dom._spread(reduce(np.add, [i for i, _ in cells]), [t for _, t in cells], c)
+            offsets, fracs = zip(*_node_entries(tables, k))
+            dom._spread(total, reduce(np.add, offsets), fracs, c)
     return total
 
 

@@ -211,8 +211,7 @@ def _operator_columns(cfg: MollifierConfig) -> tuple[np.ndarray, np.ndarray]:
     dom = cfg.domain
     step = cfg.step_inside()
     active = smoothed(step, dom.h)
-    columns = column_sums(dom.node_coords(), step, np.flatnonzero(active), cfg.kernel, dom,
-                          cfg.allow_boundary_step)
+    columns = column_sums(dom.node_coords(), step, np.flatnonzero(active), cfg.kernel, dom)
     columns[np.flatnonzero(dom.inside_mask)[~active]] += 1.0
     return columns, active
 

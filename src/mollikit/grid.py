@@ -30,21 +30,22 @@ they compare sigma only with itself, whichever source computed it.
 Fields are read between nodes by multilinear interpolation, in two halves
 that the sampling sweep shares: ``Domain._axis_cells`` turns one axis
 coordinate into its cell's flat offset and the fraction ``t - i0`` with
-``t = (p - lo) / h_a`` (after the bbox check, or the clamp onto the bbox),
-and ``Domain._blend`` reduces the 2^N cell corners of a stack of fields as
-``v0 + t (v1 - v0)``, last axis first.  What depends on the field alone is
-built once, by ``Domain._blend_tables``: beside the (F, nodes) stack, the
-last-axis differences ``stack[:, j + 1] - stack[:, j]``.  The last axis has
-stride 1, so one such table holds ``v1 - v0`` of every last-axis corner
-pair, and a last-axis step is one gather from it and one from the stack at
-the pair's lower corner: the subtraction a per-point gather would make,
-made once per node of the grid instead of once per sample.  ``interpolate``
+``t = (p - lo) / h_a``, beside the mask of coordinates outside the closed
+bbox, which every caller refuses; ``Domain._blend`` reduces the 2^N cell
+corners of a stack of fields as ``v0 + t (v1 - v0)``, last axis first.
+What depends on the field alone is built once, by
+``Domain._blend_tables``: beside the (F, nodes) stack, the last-axis
+differences ``stack[:, j + 1] - stack[:, j]``.  The last axis has stride 1,
+so one such table holds ``v1 - v0`` of every last-axis corner pair, and a
+last-axis step is one gather from it and one from the stack at the pair's
+lower corner: the subtraction a per-point gather would make, made once per
+node of the grid instead of once per sample.  ``interpolate``
 builds the tables per call; the sweep builds them once for all its kernel
 nodes.  ``Domain._spread`` is the transpose of the blend: it scatters each
-point's corner weights onto the node array with ``np.bincount``.  The
-contract is exactness, not closeness: a value depends only on the point and
-the node array, never on which other points or fields are sampled with it,
-and constant data interpolates exactly.
+point's corner weights with ``np.bincount`` into the span of flat nodes
+they reach.  The contract is exactness, not closeness: a value depends only
+on the point and the node array, never on which other points or fields are
+sampled with it, and constant data interpolates exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ class Domain:
         self.shape = tuple(int(n) for n in self.shape)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim {self.dim} unsupported (need 1, 2 or 3)")
+        if len(self.bbox) != self.dim:
+            raise ValueError(f"bbox has {len(self.bbox)} intervals, grid has {self.dim} axes")
         if any(n < 3 for n in self.shape):
             raise ValueError("need at least 3 nodes per axis")
         if self.inside_mask.shape != self.shape:
@@ -309,20 +312,18 @@ class Domain:
     # ------------------------------------------------------------------ #
     # interpolation
 
-    def interpolate(self, values: np.ndarray, points: np.ndarray,
-                    clamp: bool = False) -> np.ndarray:
+    def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a node array at (M, N) points.
 
-        Points outside the closed bounding box raise unless ``clamp`` pulls
-        them onto it.  Uses the delta form ``a + t*(b - a)`` per axis so that
-        constant data interpolates exactly.
+        Points outside the closed bounding box raise.  Uses the delta form
+        ``a + t*(b - a)`` per axis so that constant data interpolates exactly.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dim {points.shape[1]}, domain has {self.dim}")
         if np.shape(values) != self.shape:
             raise ValueError(f"values have shape {np.shape(values)}, grid has {self.shape}")
-        offsets, fracs, outside = zip(*(self._axis_cells(axis, points[:, axis], clamp)
+        offsets, fracs, outside = zip(*(self._axis_cells(axis, points[:, axis])
                                         for axis in range(self.dim)))
         outside = reduce(np.logical_or, outside)
         if np.any(outside):
@@ -332,23 +333,15 @@ class Domain:
         tables = self._blend_tables(np.reshape(np.asarray(values, dtype=float), (1, -1)))
         return self._blend(tables, reduce(np.add, offsets), fracs)[0]
 
-    def _axis_cells(self, axis: int, coords: np.ndarray, clamp: bool):
-        """The first half of ``interpolate``, for one axis.
-
-        Returns the flat offset of each coordinate's lower cell corner along
-        ``axis``, its fraction ``t - i0`` across the cell, and the mask of
-        coordinates outside the closed bbox (all False when ``clamp`` pulls
-        them onto it instead).
-        """
+    def _axis_cells(self, axis: int, coords: np.ndarray):
+        """The first half of ``interpolate`` for one axis: the flat offset of
+        each coordinate's lower cell corner along ``axis``, its fraction ``t -
+        i0`` across the cell, and the mask of coordinates outside the closed
+        bbox, which every caller refuses."""
         lo, hi = self.bbox[axis]
-        if clamp:
-            coords = np.clip(coords, lo, hi)
-            outside = np.zeros(coords.shape, dtype=bool)
-        else:
-            outside = (coords < lo) | (coords > hi)
         t = (coords - lo) / self.spacing[axis]
         i0 = np.clip(np.floor(t).astype(np.int64), 0, self.shape[axis] - 2)
-        return i0 * self._strides[axis], t - i0, outside
+        return i0 * self._strides[axis], t - i0, (coords < lo) | (coords > hi)
 
     @staticmethod
     def _blend_tables(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,15 +377,19 @@ class Domain:
             vals = vals[1::2]
         return vals[0]
 
-    def _spread(self, base: np.ndarray, fracs, weight: float) -> np.ndarray:
-        """The transpose of ``_blend`` for one field: ``weight`` times each
-        point's multilinear corner weights (products over the axes of ``1 -
-        t`` and ``t``), summed per flat grid node."""
+    def _spread(self, out: np.ndarray, base: np.ndarray, fracs, weight: float) -> None:
+        """The transpose of ``_blend`` for one field: add ``weight`` times
+        each point's multilinear corner weights (products over the axes of
+        ``1 - t`` and ``t``) into ``out``, summed per flat node over the span
+        the corners reach, from ``base.min()`` (one point or more)."""
         weights = [weight]
         for t in fracs:
             weights = [w * u for w in weights for u in (1.0 - t, t)]
+        lo = base.min()
+        base = base - lo
         at = np.concatenate([base + (p + c) for p in self._pair_corners for c in (0, 1)])
-        return np.bincount(at, weights=np.concatenate(weights), minlength=self.inside_mask.size)
+        sums = np.bincount(at, weights=np.concatenate(weights))
+        out[lo:lo + len(sums)] += sums
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
@@ -467,8 +464,8 @@ class ScalarField:
     def constant(cls, domain: Domain, c: float) -> "ScalarField":
         return cls(domain, np.full(domain.shape, float(c)))
 
-    def at(self, points: np.ndarray, clamp: bool = False) -> np.ndarray:
-        return self.domain.interpolate(self.values, points, clamp=clamp)
+    def at(self, points: np.ndarray) -> np.ndarray:
+        return self.domain.interpolate(self.values, points)
 
 
 @dataclass

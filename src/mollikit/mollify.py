@@ -44,6 +44,8 @@ class MollifierConfig:
     averaging ball lies inside the domain; ``allow_boundary_step`` relaxes
     the upper bound to <= for the one caller (the integrability
     counterexample) that runs with step equal to the boundary distance.
+    Even then every sample lies at least step / order inside the bbox (sigma
+    is at most each face distance, |z_a| <= 1 - 1/order); a sample outside raises.
     """
 
     kernel: Kernel
@@ -83,12 +85,11 @@ class MollifierConfig:
         return s / self.n if self.n is not None else s
 
 
-def _sample_closure(f, clamp: bool):
-    """Point evaluator for the input: a grid sample of fields (pulling
-    points onto the bounding box when ``clamp``), callables as given."""
+def _sample_closure(f):
+    """Point evaluator for the input: a grid sample of fields, callables as given."""
     if callable(f):
         return lambda p: np.asarray(f(p), dtype=float)
-    return GridSample(f.domain, f.values, clamp)
+    return GridSample(f.domain, f.values)
 
 
 def mollify(f: ScalarField, cfg: MollifierConfig, threads: int = 1) -> ScalarField:
@@ -131,8 +132,7 @@ def _mollify_sweep(f: ScalarField, cfg: MollifierConfig):
     if f.domain is not dom and (f.domain.shape != dom.shape or f.domain.bbox != dom.bbox):
         raise ValueError("field grid does not match the operator's grid")
     pts = dom.node_coords(dom.inside_mask)
-    sweep = variable_step_average(pts, cfg.step_inside(), cfg.kernel,
-                                  [_sample_closure(f, cfg.allow_boundary_step)],
+    sweep = variable_step_average(pts, cfg.step_inside(), cfg.kernel, [_sample_closure(f)],
                                   [f.values[dom.inside_mask]], dom.h)
     out = f.values.copy()
     out[dom.inside_mask] = sweep.values[0]
@@ -147,7 +147,7 @@ def mollify_at_points(f, cfg: MollifierConfig, points: np.ndarray) -> np.ndarray
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     step = cfg.step_at(points)
-    sample = _sample_closure(f, cfg.allow_boundary_step)
+    sample = _sample_closure(f)
     return variable_step_average(points, step, cfg.kernel, [sample], [sample(points)],
                                  cfg.domain.h).values[0]
 
@@ -164,7 +164,7 @@ def _gradient_sweep(grad_f: VectorField, extra: list[ScalarField], cfg: Mollifie
     inside = dom.inside_mask
     fields = grad_f.components + extra
     sweep = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
-                           [_sample_closure(c, cfg.allow_boundary_step) for c in fields],
+                           [_sample_closure(c) for c in fields],
                            [c.values[inside] for c in fields], dom.h)
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
     grad_eta = gradient_central(cfg.eta.field)
@@ -280,7 +280,7 @@ def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
         weights = [g.values for g in gradient_central(eta1.field).components]
 
     scalar = weighted_z_dot(dom.node_coords(dom.inside_mask), step, kernel,
-                            [_sample_closure(c, False) for c in grad_f.components],
+                            [_sample_closure(c) for c in grad_f.components],
                             [c.values[dom.inside_mask] for c in grad_f.components],
                             dom.h).zdot
     delta = eta1.theta_mask & dom.inside_mask

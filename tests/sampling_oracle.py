@@ -109,18 +109,14 @@ def variable_step_max(points, step, kernel, sample_fn, identity_values):
     return out
 
 
-def interpolate(domain, values, points, clamp=False):
+def interpolate(domain, values, points):
     """Multilinear interpolation gathering the 2^N corners with one tuple
     index per corner and per call."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if clamp:
-        points = np.clip(points, domain.lo, domain.hi)
-    else:
-        bad = (points < domain.lo) | (points > domain.hi)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0][0])
-            raise ValueError(
-                f"evaluation outside the closed domain bbox at point {points[i]}")
+    bad = (points < domain.lo) | (points > domain.hi)
+    if bad.any():
+        i = int(np.argwhere(bad.any(axis=1))[0][0])
+        raise ValueError(f"evaluation outside the closed domain bbox at point {points[i]}")
     idx = []
     frac = []
     for axis in range(domain.dim):
@@ -151,10 +147,10 @@ def flat_blend(domain, stack, base, fracs):
     return vals[0]
 
 
-def _sample(f, clamp):
+def _sample(f):
     if callable(f):
         return lambda p: np.asarray(f(p), dtype=float)
-    return lambda p: interpolate(f.domain, f.values, p, clamp=clamp)
+    return lambda p: interpolate(f.domain, f.values, p)
 
 
 # ---------------------------------------------------------------------- #
@@ -164,7 +160,7 @@ def _sample(f, clamp):
 def mollify(f, cfg):
     dom = cfg.domain
     vals, _ = variable_step_average(dom.node_coords(dom.inside_mask), cfg.step_inside(),
-                                    cfg.kernel, _sample(f, cfg.allow_boundary_step),
+                                    cfg.kernel, _sample(f),
                                     f.values[dom.inside_mask], dom.h)
     out = f.values.copy()
     out[dom.inside_mask] = vals
@@ -173,7 +169,7 @@ def mollify(f, cfg):
 
 def mollify_at_points(f, cfg, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    sample = _sample(f, cfg.allow_boundary_step)
+    sample = _sample(f)
     vals, _ = variable_step_average(points, cfg.step_at(points), cfg.kernel, sample,
                                     sample(points), cfg.domain.h)
     return vals
@@ -183,7 +179,7 @@ def _smoothed_inside(fields, cfg):
     dom = cfg.domain
     pts = dom.node_coords(dom.inside_mask)
     return [variable_step_average(pts, cfg.step_inside(), cfg.kernel,
-                                  _sample(c, cfg.allow_boundary_step),
+                                  _sample(c),
                                   c.values[dom.inside_mask], dom.h)[0]
             for c in fields]
 
@@ -191,7 +187,7 @@ def _smoothed_inside(fields, cfg):
 def mollify_gradient(f, grad_f, cfg):
     dom = cfg.domain
     inside = dom.inside_mask
-    samples = [_sample(c, cfg.allow_boundary_step) for c in grad_f.components]
+    samples = [_sample(c) for c in grad_f.components]
     scalar = weighted_z_dot(dom.node_coords(inside), cfg.step_inside(), cfg.kernel,
                             samples, dom.h)
     inv_n = 1.0 / cfg.n if cfg.n is not None else 1.0
@@ -270,7 +266,7 @@ def psi_field(f, eta1, eta0, n, kernel):
     dom = eta1.domain
     inside = dom.inside_mask
     grad_f = gradient_central(f)
-    samples = [_sample(c, False) for c in grad_f.components]
+    samples = [_sample(c) for c in grad_f.components]
     if n is not None:
         step = (eta1.values + eta0.values / n)[inside]
         weights = [g1.values + g0.values / n for g1, g0 in
@@ -327,8 +323,6 @@ def column_sums(cfg):
     for z, c in zip(cfg.kernel.nodes, cfg.kernel.coeffs):
         column = np.zeros(dom.shape)
         y = x - s * z
-        if cfg.allow_boundary_step:
-            y = np.clip(y, dom.lo, dom.hi)
         idx, frac = [], []
         for axis in range(dom.dim):
             t = (y[:, axis] - dom.bbox[axis][0]) / dom.spacing[axis]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,67 @@ def test_operator_norm_report_counts_active_nodes():
     rep = l1_operator_norm_report(MollifierConfig(kernel, prof, n=16))
     assert rep["active_nodes"] == 0 and rep["active_column_max"] is None
     assert rep["estimate"] == 1.0
+    columns, _ = _operator_columns(MollifierConfig(kernel, prof, n=16))
+    assert np.array_equal(columns, dom.inside_mask.reshape(-1).astype(float))
+
+
+def test_column_sums_run_on_the_sweeps_blocks(monkeypatch):
+    # one _blocks cut per call, each block's cells from the sweep's own
+    # tables: B + 1 points make one block of B + 1 (bitwise what one block
+    # of any size gives), 3B + 2 make three; no points make none
+    block = 64
+    dom = Domain.box([(0.0, 1.3), (-0.2, 0.5)], (41, 29))
+    kernel = make_kernel("bump", 2, 8)
+    cfg = MollifierConfig(kernel, quadratic_eta(dom, 0.1))
+    pts, step = dom.node_coords(), cfg.step_inside()
+    act_idx = np.flatnonzero(step >= dom.h)
+    assert len(act_idx) > 3 * block + 2
+    cuts, tables = [], []
+    blocks, axis_tables = _sampling._blocks, _sampling._axis_tables
+
+    def cut(m):
+        cuts.append(m)
+        return blocks(m)
+
+    def tabled(axis_half, axis_values, x, *args):
+        tables.append(len(x))
+        return axis_tables(axis_half, axis_values, x, *args)
+
+    monkeypatch.setattr(_sampling, "_blocks", cut)
+    monkeypatch.setattr(_sampling, "_axis_tables", tabled)
+    for m, sizes in ((block + 1, [block + 1]), (3 * block + 2, [block, block + 1, block + 1]),
+                     (0, [])):
+        idx = act_idx[:m]
+        monkeypatch.setattr(_sampling, "_BLOCK", 10 ** 6)
+        whole = _sampling.column_sums(pts, step, idx, kernel, dom)
+        monkeypatch.setattr(_sampling, "_BLOCK", block)
+        cuts.clear()
+        tables.clear()
+        got = _sampling.column_sums(pts, step, idx, kernel, dom)
+        assert cuts == [m] and tables == sizes
+        if len(sizes) == 1:
+            assert got.tobytes() == whole.tobytes()
+        assert np.all(np.abs(got - whole) <= 1e-14 * whole)
+        assert got.any() == (m > 0)
+
+
+def test_broken_step_invariant_raises_the_sweeps_bbox_error(monkeypatch):
+    # with validation bypassed and the step above sigma, the L1 report
+    # raises the sweep's named-node bbox error instead of reading past the
+    # bbox, exactly as mollify does
+    dom = Domain.box([(0.0, 1.0)] * 2, 33)
+    prof = quadratic_eta(dom, 0.1)
+    prof = replace(prof, field=ScalarField(dom, 10.0 * prof.values))  # above sigma inside
+    monkeypatch.setattr(MollifierConfig, "__post_init__", lambda self: None)
+    cfg = MollifierConfig(make_kernel("bump", 2, 8), prof, n=1)
+    assert (cfg.step_inside() > dom.sigma().values[dom.inside_mask]).any()
+    f = ScalarField(dom, np.ones(dom.shape))
+    with pytest.raises(ValueError, match="outside the closed domain bbox") as want:
+        mollify(f, cfg)
+    assert "kernel node k=" in str(want.value) and "step invariant violated" in str(want.value)
+    with pytest.raises(ValueError, match="outside the closed domain bbox") as got:
+        l1_operator_norm_report(cfg)
+    assert str(got.value) == str(want.value)
 
 
 def test_operator_norm_requires_quadratic(line, kernel1d):

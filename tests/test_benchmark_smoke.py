@@ -1,6 +1,8 @@
 """One operation of each benchmark workload, checked by the benchmark's own
 output checks, so that an output the benchmark would count as incorrect
-fails here first.  ``perfbench`` is imported as it is, read-only."""
+fails here first.  The operation runs traced, as ``perfbench/run.py --trace
+1`` runs it, so that a renamed entry or parameter that the tracer binds
+fails here too.  ``perfbench`` is imported as it is, read-only."""
 
 import importlib
 import sys
@@ -34,14 +36,18 @@ def test_workload_passes_its_checks(name, workloads, tmp_path):
     make = {"operator-box": workloads.OperatorBox,
             "eta-mask": workloads.EtaMask,
             "studies-cli": lambda: workloads.StudiesCli(str(tmp_path))}[name]
+    tracing = _import("tracing")
     wl = make()
     wl.setup(SEED)
     inp = wl.make_input(0)
-    out = wl.op(inp)
+    with tracing.traced(tracing.Recorder()) as recorder:
+        out = wl.op(inp)
     assert wl.check(0, inp, out) == []
     assert wl.check_run() == []
+    assert tracing.nesting_errors(recorder.spans) == []
+    metrics = tracing.layer_metrics(tracing.summarize(recorder.spans))
+    assert metrics["sampling.samples"] > 0
     if hasattr(wl, "repeat_mollify"):
         # the traced run's repeat, which binds mollify(..., threads=2)
-        tracing = _import("tracing")
         with tracing.traced(tracing.Recorder()):
             assert wl.repeat_mollify(inp, out, threads=2) == []

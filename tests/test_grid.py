@@ -217,7 +217,6 @@ def test_interpolation_affine_and_bbox_error():
     assert np.allclose(f.at(pts), expect, atol=1e-13)
     with pytest.raises(ValueError, match="outside the closed domain"):
         f.at(np.array([[1.2, 0.5]]))
-    assert np.isfinite(f.at(np.array([[1.2, 0.5]]), clamp=True)).all()
 
 
 def test_interpolation_at_closed_corners():
@@ -245,6 +244,14 @@ def test_domain_validation():
         Domain.from_mask([(0.0, 1.0)], full)
     with pytest.raises(ValueError, match="empty"):
         Domain.from_mask([(0.0, 1.0)], np.zeros(9, dtype=bool))
+    # one bbox interval per grid axis: with two over a 3D grid sigma() would
+    # index past the bbox, and a third over a 2D grid would go unread
+    for intervals, shape in ((2, (7, 7, 7)), (3, (7, 7))):
+        mask = np.zeros(shape, dtype=bool)
+        mask[(3,) * len(shape)] = True
+        with pytest.raises(ValueError, match=f"bbox has {intervals} intervals, grid has "
+                                             f"{len(shape)} axes"):
+            Domain.from_mask([(0.0, 1.0), (0.0, 1.0), (0.0, 2.0)][:intervals], mask)
 
 
 def test_csv_roundtrip_bitwise(tmp_path):

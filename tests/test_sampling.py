@@ -16,8 +16,9 @@ from mollikit import _sampling
 from mollikit import eta as eta_mod
 from mollikit._sampling import (GridSample, SigmaSample, _axis_values, _block_sampler,
                                 _halves, _sweep, variable_step_average, weighted_z_dot)
-from mollikit.analysis import trace_check
-from mollikit.eta import build_whitney_eta, bv_step_eta, quadratic_eta, regularized_distance
+from mollikit.analysis import _operator_columns, trace_check
+from mollikit.eta import (EtaProfile, build_whitney_eta, bv_step_eta, quadratic_eta,
+                          regularized_distance)
 from mollikit.feasible import ConstraintSpec, convergence_factor
 from mollikit.grid import Domain, ScalarField, gradient_central
 from mollikit.kernels import make_kernel
@@ -31,8 +32,8 @@ SHAPE = {1: (97,), 2: (41, 29), 3: (17, 13, 15)}
 ORDERS = {1: (16, 15), 2: (8, 7), 3: (6, 5)}
 
 
-def _domain(kind: str, dim: int, bbox=None) -> Domain:
-    bbox, shape = bbox or BBOX[dim], SHAPE[dim]
+def _domain(kind: str, dim: int, bbox=None, shape=None) -> Domain:
+    bbox, shape = bbox or BBOX[dim], shape or SHAPE[dim]
     if kind == "box":
         return Domain.box(bbox, shape)
     if kind == "ball":
@@ -97,8 +98,6 @@ def test_operators_bitwise_equal_to_reference_loops(setup, parity, blocks, monke
     flat = ScalarField.constant(dom, 0.3)  # the hull clamp fires at most of its nodes
     for g in (f, flat):
         assert np.array_equal(mollify(g, cfg).values, oracle.mollify(g, cfg))
-    clamped = MollifierConfig(kernel, eta0, n=2, allow_boundary_step=True)
-    assert np.array_equal(mollify(f, clamped).values, oracle.mollify(f, clamped))
 
     deep = dom.sigma().values > 2.0 * max(dom.spacing)
     points = dom.node_coords(deep) + 0.25 * np.asarray(dom.spacing)
@@ -125,6 +124,36 @@ def test_operators_bitwise_equal_to_reference_loops(setup, parity, blocks, monke
         m_ref, sup_ref = oracle.convergence_factor(spec, eta1, 2, kernel)
         assert np.array_equal(m.values, m_ref) and sup == sup_ref
     assert (max(counts) > 1) == (blocks > 1)
+
+
+@pytest.mark.parametrize("kind,dim", DOMAINS, ids=[f"{k}{d}d" for k, d in DOMAINS])
+def test_boundary_step_keeps_every_sample_inside_the_bbox(kind, dim):
+    # step = sigma at every node, as in the integrability counterexample:
+    # sigma is at most the distance to each bbox face and |z_a| <= 1 - 1/order,
+    # so every sample lies at least step / order inside the closed bbox, the
+    # sweeps and the column sums raise no bbox error, and they match the
+    # reference loops, which refuse any point outside it
+    dom = _domain(kind, dim, shape={1: (41,), 2: (23, 17), 3: (11, 9, 10)}[dim])
+    prof = EtaProfile(dom.sigma(), 1.0, "linear", None, ~dom.inside_mask)
+    f = ScalarField(dom, np.random.default_rng(dim).standard_normal(dom.shape))
+    grad_f = gradient_central(f)
+    step = prof.values[dom.inside_mask]
+    x = dom.node_coords()[step >= dom.h]
+    s = step[step >= dom.h]
+    for profile in ("bump", "box", "plateau"):
+        for order in {1: (8, 7), 2: (6, 5), 3: (4, 3)}[dim]:
+            kernel = make_kernel(profile, dim, order, 3 if profile == "plateau" else None)
+            y = x[:, None] - s[:, None, None] * kernel.nodes
+            margin = np.minimum(y - dom.lo, dom.hi - y).min(axis=(1, 2))
+            assert (margin >= s / order * (1.0 - 1e-9)).all()
+            cfg = MollifierConfig(kernel, prof, allow_boundary_step=True)
+            assert mollify(f, cfg).values.tobytes() == oracle.mollify(f, cfg).tobytes()
+            got = mollify_gradient(f, grad_f, cfg).arrays()
+            want = oracle.mollify_gradient(f, grad_f, cfg)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+            columns, _ = _operator_columns(cfg)
+            expect = oracle.column_sums(cfg)
+            assert np.all(np.abs(columns - expect) <= 1e-14 * expect)
 
 
 def test_step_builders_bitwise_equal_to_reference_loops(setup, monkeypatch):
@@ -160,18 +189,20 @@ def test_interpolate_bitwise_equal_to_tuple_gather(dim):
     zeros[::2, 0] = -0.0
     zeros[1::2, 0] = 0.0
     beyond = lo + (rng.random((500, dim)) * 1.6 - 0.3) * (hi - lo)
-    for pts, clamp in ((nodes, False), (inner, False), (upper, False), (zeros, False),
-                       (beyond, True), (nodes, True)):
-        got = dom.interpolate(values, pts, clamp=clamp)
-        want = oracle.interpolate(dom, values, pts, clamp=clamp)
+    for pts in (nodes, inner, upper, zeros):
+        got = dom.interpolate(values, pts)
+        want = oracle.interpolate(dom, values, pts)
         assert got.tobytes() == want.tobytes()  # the sign of every zero too
     with pytest.raises(ValueError, match="outside the closed domain bbox"):
         dom.interpolate(values, beyond)
 
 
-@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("beyond", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_table_blend_bitwise_equal_to_corner_gathers(dim, clamp):
+def test_table_blend_bitwise_equal_to_corner_gathers(dim, beyond):
+    # beyond: points outside the closed bbox are mixed in, and the axis
+    # half's mask flags exactly their coordinates outside it, so that both
+    # interpolate and the sweep refuse them
     dom = Domain.box(BBOX[dim], SHAPE[dim])  # anisotropic, non-dyadic spacing
     lo, hi = dom.lo, dom.hi
     rng = np.random.default_rng(10 + dim)
@@ -179,11 +210,17 @@ def test_table_blend_bitwise_equal_to_corner_gathers(dim, clamp):
     upper = inner[:100].copy()  # on the upper face i0 clips to n - 2
     face = rng.integers(dim, size=100)
     upper[np.arange(100), face] = hi[face]
-    pts = [dom.node_coords(), inner, upper]
-    if clamp:
-        pts.append(lo + (rng.random((300, dim)) * 1.6 - 0.3) * (hi - lo))
-    pts = np.vstack(pts)
-    cells = [dom._axis_cells(axis, pts[:, axis], clamp) for axis in range(dim)]
+    pts = np.vstack([dom.node_coords(), inner, upper])
+    if beyond:
+        mixed = np.vstack([pts, lo + (rng.random((300, dim)) * 1.6 - 0.3) * (hi - lo)])
+        rng.shuffle(mixed)
+        outs = [dom._axis_cells(axis, mixed[:, axis])[2] for axis in range(dim)]
+        assert np.array_equal(np.column_stack(outs), (mixed < lo) | (mixed > hi))
+        first = mixed[int(np.argmax(np.any(outs, axis=0)))]
+        with pytest.raises(ValueError, match="outside the closed domain bbox") as err:
+            dom.interpolate(rng.standard_normal(dom.shape), mixed)
+        assert f"at point {first}" in str(err.value)
+    cells = [dom._axis_cells(axis, pts[:, axis]) for axis in range(dim)]
     assert not any(out.any() for *_, out in cells)
     base, fracs = reduce(np.add, [c[0] for c in cells]), [c[1] for c in cells]
     for n_f in (1, dim + 1):
@@ -194,9 +231,9 @@ def test_table_blend_bitwise_equal_to_corner_gathers(dim, clamp):
         got = dom._blend(dom._blend_tables(stack), base, fracs)
         assert got.tobytes() == oracle.flat_blend(dom, stack, base, fracs).tobytes()
         for f, row in zip(values, got, strict=True):
-            want = oracle.interpolate(dom, f, pts, clamp=clamp)
+            want = oracle.interpolate(dom, f, pts)
             assert row.tobytes() == want.tobytes()  # the sign of every zero too
-            assert dom.interpolate(f, pts, clamp=clamp).tobytes() == want.tobytes()
+            assert dom.interpolate(f, pts).tobytes() == want.tobytes()
 
 
 def test_sweep_blocks_are_balanced(monkeypatch):
@@ -282,7 +319,7 @@ def test_node_tiles_bitwise_equal_to_reference_loops(monkeypatch):
     step = build_whitney_eta(dom, None, 0.5).values[dom.inside_mask]
     ident = [g.values[dom.inside_mask] for g in fields]
     m = int((step >= dom.h).sum())
-    want = oracle.z_dot_sweep(pts, step, kernel, [oracle._sample(g, False) for g in fields],
+    want = oracle.z_dot_sweep(pts, step, kernel, [oracle._sample(g) for g in fields],
                               ident, dom.h)
     assert any((w == 0.0).any() and np.signbit(w[w == 0.0]).any() for w in want[1:3])
     tiles = _record_tiles(monkeypatch)
