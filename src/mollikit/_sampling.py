@@ -265,15 +265,18 @@ def column_sums(points: np.ndarray, step: np.ndarray, act_idx: np.ndarray, kerne
     sweep's weighted sum over ``act_idx`` (the hull clamp left out):
     ``coeffs_k`` times the corner weights of each ``points[i] - step[i] *
     nodes[k]``, in the sweep's blocks, from its ``Domain._axis_cells``
-    tables and bbox check (``_axis_tables``), scattered by ``Domain._spread``."""
+    tables and bbox check (``_axis_tables``), scattered by ``Domain._spread``
+    from the block's lowest corner: the sum over the axes of the smallest
+    offset in each axis table."""
     axis_values = _axis_values(kernel.nodes)
     total = np.zeros(dom.inside_mask.size)
     for b in _blocks(len(act_idx)):
         x, s = points[act_idx[b]], step[act_idx[b]]
         tables = _axis_tables(dom._axis_cells, axis_values, x, s, kernel.nodes)
+        lo = sum(min(int(o.min()) for o in parts[0]) for _, parts in tables)
         for k, c in enumerate(kernel.coeffs):
             offsets, fracs = zip(*_node_entries(tables, k))
-            dom._spread(total, reduce(np.add, offsets), fracs, c)
+            dom._spread(total, reduce(np.add, offsets), fracs, c, lo)
     return total
 
 

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from ._sampling import column_sums, smoothed
 from .eta import EtaProfile
 from .grid import Domain, ScalarField, gradient_central
-from .kernels import Kernel, make_kernel, profile_value, unit_ball_volume
+from .kernels import Kernel, make_kernel, unit_ball_volume
 from .mollify import MollifierConfig, _mollify_sweep, mollify
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "norm",
     "weak_l1_check",
     "l1_operator_norm_report",
-    "constant_step_probe",
     "counterexample_run",
     "convergence_study",
     "trace_check",
@@ -254,27 +253,6 @@ def l1_operator_norm_report(cfg: MollifierConfig) -> dict:
         "argmax_step_over_h": float(cfg.eta.values[node] / nval / dom.h),
         "limit_bound": cfg.kernel.m_rho * omega * (1.0 + dim * math.log(1.0 / kappa)),
     }
-
-
-def constant_step_probe(kernel: Kernel) -> float:
-    """Constant-step diagnostic: the column integral on an aligned lattice.
-
-    With grid spacing h = 1/(3 order), step c = order*h/2, and the probe at a
-    cell center, the lattice offsets reproduce the kernel's own quadrature
-    nodes, so the sum equals the kernel normalization (1) to round-off,
-    independent of the profile.
-    """
-    order = kernel.order
-    dim = kernel.dim
-    h = 1.0 / (3 * order)
-    c = order * h / 2.0
-    offs = np.arange(-order // 2 - 1, order // 2 + 2)
-    grids = np.meshgrid(*([offs] * dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1) * h + h / 2.0
-    r2 = (pts ** 2).sum(axis=1) / (c * c)
-    rho = profile_value(kernel.profile, np.where(r2 < 1.0, r2, 1.0), kernel.n)
-    rho = np.where(r2 < 1.0, rho, 0.0)
-    return float(h ** dim * (kernel.m_rho / c ** dim) * rho.sum())
 
 
 # ---------------------------------------------------------------------- #

@@ -406,8 +406,6 @@ def cmd_selftest(args) -> int:
 
     rep = analysis.l1_operator_norm_report(MollifierConfig(kernel, quad, n=1))
     checks.add_check("operator norm vs bound", rep["estimate"], rep["bound"] * 1.1)
-    checks.add_check("constant-step normalization",
-                     abs(analysis.constant_step_probe(kernel) - 1.0), 0.0, 1e-12)
 
     x = dom.axis_coords(0)
     alpha = ScalarField(dom, np.minimum(x, 1.0 - x))

@@ -10,6 +10,15 @@ on its discrete gradient.  Four builders are provided:
 * ``calibrated_eta``      -- profile matched to a bound field via its modulus
                              of continuity
 
+Each builder averages a distance with ``variable_step_average``.  On box and
+ball domains the boundary distance is sampled in closed form (``SigmaSample``)
+wherever the builder averages it: in ``regularized_distance`` and
+``bv_step_eta``, and in the first of Whitney's two passes when Theta is the
+boundary alone.  Whitney's second pass averages the first pass's node output,
+and a Theta with interior (delta) nodes makes dist(., Theta) a field known
+only at the nodes, so those passes, and every average on a mask domain,
+sample the multilinear interpolant of a node array (``GridSample``).
+
 Certificates are asserted on every node; a failed certificate raises.  The
 modulus of continuity is ``estimate_modulus(alpha, reach)``, exact on the
 grid over ``[0, reach]``: never below the largest node-pair difference at
@@ -91,6 +100,16 @@ def _max_gradient(domain: Domain, values: np.ndarray) -> float:
 _SMOOTH_ORDER = {1: 64, 2: 24, 3: 8}
 
 
+def _sigma_sample(domain: Domain, sigma: np.ndarray) -> GridSample | SigmaSample:
+    """The boundary distance the builders average: closed form on box and
+    ball domains, and on a mask domain the interpolant of node ``sigma``, the
+    field they certify against.  Whitney's first pass takes it when Theta is
+    the boundary; ``regularized_distance`` and ``bv_step_eta`` always do."""
+    if domain.kind == "mask":
+        return GridSample(domain, sigma)
+    return SigmaSample(domain)
+
+
 def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
                       epsilon: float = 0.25) -> EtaProfile:
     """Profile vanishing exactly on Theta with eta <= eps * dist(., Theta)
@@ -99,6 +118,11 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
     The distance field is averaged twice with a per-node radius of
     eps * dist / 2 (which stays inside the domain), clamped strictly below
     eps * dist, and rescaled so the measured gradient bound holds exactly.
+    When Theta is the boundary, dist is sigma and the first pass averages
+    ``_sigma_sample`` (closed form on box and ball domains, the node
+    interpolant on a mask); with interior Theta nodes it averages the
+    interpolant of node dist(., Theta).  The second pass always averages
+    the interpolant of the first pass's node output.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
@@ -108,20 +132,22 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
         theta_mask = theta_mask.astype(bool)
         if (~theta_mask & ~domain.inside_mask).any():
             raise ValueError("Theta must contain every boundary node")
-    d = distance_field(domain.with_delta(theta_mask & domain.inside_mask), "theta").values
-    d = np.where(theta_mask & domain.inside_mask, 0.0, d)
+    interior = theta_mask & domain.inside_mask
+    d = distance_field(domain.with_delta(interior), "theta").values
+    d = np.where(interior, 0.0, d)
 
     kernel = make_kernel("bump", domain.dim, _SMOOTH_ORDER[domain.dim])
     pts = domain.node_coords(domain.inside_mask)
     step = np.maximum(epsilon * d[domain.inside_mask] / 2.0, 0.0)
 
-    smoothed = d.copy()
-    for _ in range(2):
-        src = smoothed
-        smoothed = smoothed.copy()
-        smoothed[domain.inside_mask] = variable_step_average(
-            pts, step, kernel, [GridSample(domain, src)], [src[domain.inside_mask]],
-            domain.h).values[0]
+    def smooth(sample, src: np.ndarray) -> np.ndarray:
+        out = src.copy()
+        out[domain.inside_mask] = variable_step_average(
+            pts, step, kernel, [sample], [src[domain.inside_mask]], domain.h).values[0]
+        return out
+
+    once = smooth(GridSample(domain, d) if interior.any() else _sigma_sample(domain, d), d)
+    smoothed = smooth(GridSample(domain, once), once)
 
     raw = np.minimum(smoothed, d * CLAMP)
     raw = np.maximum(raw, 0.0)
@@ -137,15 +163,6 @@ def build_whitney_eta(domain: Domain, theta_mask: np.ndarray | None = None,
         raise CertificationError(
             f"whitney gradient bound {profile.grad_bound} exceeds eps={epsilon}")
     return profile
-
-
-def _sigma_sample(domain: Domain, sigma: np.ndarray) -> GridSample | SigmaSample:
-    """The boundary distance that ``regularized_distance`` and ``bv_step_eta``
-    average: closed form on box and ball domains, and on a mask domain the
-    interpolant of node ``sigma``, the field they certify against."""
-    if domain.kind == "mask":
-        return GridSample(domain, sigma)
-    return SigmaSample(domain)
 
 
 def regularized_distance(domain: Domain, epsilon: float,

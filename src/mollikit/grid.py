@@ -42,10 +42,11 @@ lower corner: the subtraction a per-point gather would make, made once per
 node of the grid instead of once per sample.  ``interpolate``
 builds the tables per call; the sweep builds them once for all its kernel
 nodes.  ``Domain._spread`` is the transpose of the blend: it scatters each
-point's corner weights with ``np.bincount`` into the span of flat nodes
-they reach.  The contract is exactness, not closeness: a value depends only
-on the point and the node array, never on which other points or fields are
-sampled with it, and constant data interpolates exactly.
+point's corner weights with ``np.bincount`` into a span of flat nodes from
+a lower bound its caller gives to the last corner.  The contract is
+exactness, not closeness: a value depends only on the point and the node
+array, never on which other points or fields are sampled with it, and
+constant data interpolates exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "distance_field",
-    "boundary_shell",
     "read_field_csv",
     "write_field_csv",
     "domain_from_json",
@@ -377,17 +377,18 @@ class Domain:
             vals = vals[1::2]
         return vals[0]
 
-    def _spread(self, out: np.ndarray, base: np.ndarray, fracs, weight: float) -> None:
+    def _spread(self, out: np.ndarray, base: np.ndarray, fracs, weight: float,
+                lo: int) -> None:
         """The transpose of ``_blend`` for one field: add ``weight`` times
         each point's multilinear corner weights (products over the axes of
         ``1 - t`` and ``t``) into ``out``, summed per flat node over the span
-        the corners reach, from ``base.min()`` (one point or more)."""
+        from ``lo``, a lower bound of ``base`` that the caller takes once for
+        many calls, to the last corner reached.  Nodes below the first
+        corner receive zeros, so the sums do not depend on ``lo``."""
         weights = [weight]
         for t in fracs:
             weights = [w * u for w in weights for u in (1.0 - t, t)]
-        lo = base.min()
-        base = base - lo
-        at = np.concatenate([base + (p + c) for p in self._pair_corners for c in (0, 1)])
+        at = np.concatenate([base + (p + c - lo) for p in self._pair_corners for c in (0, 1)])
         sums = np.bincount(at, weights=np.concatenate(weights))
         out[lo:lo + len(sums)] += sums
 
@@ -525,26 +526,19 @@ def distance_field(domain: Domain, target: str = "boundary") -> ScalarField:
     return ScalarField(domain, np.minimum(sigma.values, d_delta))
 
 
-def boundary_shell(domain: Domain, width: float) -> np.ndarray:
-    """Boolean mask of inside nodes within ``width`` of the boundary."""
-    if width <= 0:
-        raise ValueError("shell width must be positive")
-    sigma = domain.sigma()
-    return domain.inside_mask & (sigma.values <= width)
-
-
 # ---------------------------------------------------------------------- #
 # I/O
 
 
 def write_field_csv(f: ScalarField, path) -> None:
+    """Write the header line and one ``repr`` per node value, in flat node
+    order, in one write."""
     dom = f.domain
     shape = ",".join(str(n) for n in dom.shape)
     bbox = ",".join(f"{float(lo)!r},{float(hi)!r}" for lo, hi in dom.bbox)
+    values = "\n".join(map(repr, f.values.reshape(-1).tolist()))
     with open(path, "w") as fh:
-        fh.write(f"# dim={dom.dim} shape={shape} bbox={bbox}\n")
-        for v in f.values.reshape(-1):
-            fh.write(f"{float(v)!r}\n")
+        fh.write(f"# dim={dom.dim} shape={shape} bbox={bbox}\n{values}\n")
 
 
 def read_field_csv(path, domain: Domain | None = None) -> ScalarField:

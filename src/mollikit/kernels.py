@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import _check_keys, _exact_int, _spec_value
 
-__all__ = ["Kernel", "make_kernel", "kernel_moment", "unit_ball_volume", "kernel_from_json"]
+__all__ = ["Kernel", "make_kernel", "unit_ball_volume", "kernel_from_json"]
 
 PROFILES = ("bump", "box", "plateau")
 
@@ -129,28 +129,6 @@ def make_kernel(profile: str, dim: int, order: int, n: int | None = None) -> Ker
     nodes = pts[idx]
     weights = np.full(len(idx), spacing ** dim)
     return Kernel(profile, dim, order, n, nodes, weights, rho[idx], paired_count)
-
-
-def kernel_moment(kernel: Kernel, multi_index) -> float:
-    """Sum_k w_k rho(z_k) z_k^multi_index, with exact odd-degree cancellation.
-
-    Paired nodes are summed pair-first, so terms that are exact negations
-    annihilate before any global accumulation can leave round-off behind.
-    """
-    mi = np.atleast_1d(np.asarray(multi_index, dtype=int))
-    if len(mi) != kernel.dim:
-        raise ValueError("multi-index length must match kernel dim")
-    if mi.sum() > 4:
-        raise ValueError("moment degree above 4 unsupported")
-    # repeated multiplication keeps the +/- pair terms exactly antisymmetric
-    powers = np.ones(len(kernel.nodes))
-    for axis, p in enumerate(mi):
-        for _ in range(int(p)):
-            powers = powers * kernel.nodes[:, axis]
-    terms = kernel.weights * kernel.rho_values * powers
-    pc = kernel.paired_count
-    paired = terms[:pc].reshape(-1, 2).sum(axis=1)
-    return float(np.sum(paired) + terms[pc:].sum())
 
 
 def kernel_from_json(spec) -> Kernel:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mollikit import _sampling, analysis
-from mollikit.analysis import (InvariantViolation, constant_step_probe,
-                               convergence_study, counterexample_run, f0,
+from mollikit.analysis import (InvariantViolation, convergence_study, counterexample_run, f0,
                                f0_l1_tail, field_difference,
                                l1_operator_norm_report, norm, norm_by_token,
                                tf0_closed, tf0_quadrature, trace_check,
@@ -222,6 +221,34 @@ def test_column_sums_run_on_the_sweeps_blocks(monkeypatch):
         assert got.any() == (m > 0)
 
 
+def _spread_per_node_span(self, out, base, fracs, weight, lo):
+    """``Domain._spread`` with each call's span from its own ``base.min()``,
+    not from the block's lower bound ``lo``."""
+    weights = [weight]
+    for t in fracs:
+        weights = [w * u for w in weights for u in (1.0 - t, t)]
+    lo = base.min()
+    at = np.concatenate([base - lo + (p + c) for p in self._pair_corners for c in (0, 1)])
+    sums = np.bincount(at, weights=np.concatenate(weights))
+    out[lo:lo + len(sums)] += sums
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+def test_column_sums_do_not_depend_on_the_span_start(block, monkeypatch):
+    # the block's lower bound adds zeros below each node's first corner, in
+    # the same bincount order, so the sums keep every bit
+    dom = Domain.box([(0.0, 1.0)] * 2, 96)
+    cfg = MollifierConfig(make_kernel("bump", 2, 24), quadratic_eta(dom, 0.1), n=1)
+    monkeypatch.setattr(_sampling, "_BLOCK", block)
+    got, active = _operator_columns(cfg)
+    assert active.sum() > 64
+    monkeypatch.setattr(Domain, "_spread", _spread_per_node_span)
+    want, _ = _operator_columns(cfg)
+    assert got.tobytes() == want.tobytes()
+    expect = oracle_column_sums(cfg)
+    assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+
+
 def test_broken_step_invariant_raises_the_sweeps_bbox_error(monkeypatch):
     # with validation bypassed and the step above sigma, the L1 report
     # raises the sweep's named-node bbox error instead of reading past the
@@ -282,15 +309,6 @@ def test_column_mass_matches_brute_force_oracle(kind, dim, profile, monkeypatch)
         guarded += int(((step > 0.0) & ~active).sum())
         smoothed += int(active.sum())
     assert guarded > 0 and smoothed > 0
-
-
-@pytest.mark.parametrize("profile,dim,order,n", [
-    ("bump", 1, 32, None), ("bump", 2, 16, None),
-    ("box", 1, 32, None), ("plateau", 1, 32, 4),
-])
-def test_constant_step_probe_normalization(profile, dim, order, n):
-    k = make_kernel(profile, dim, order, n)
-    assert abs(constant_step_probe(k) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------- #

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mollikit.eta import (FLOOR_SLOPE, CertificationError, ModulusOfContinuity,
+import sampling_oracle as oracle
+from mollikit.eta import (CLAMP, FLOOR_SLOPE, CertificationError, ModulusOfContinuity,
                           build_whitney_eta, bv_step_eta, calibrated_eta, estimate_modulus,
                           quadratic_eta, regularized_distance)
-from mollikit.grid import Domain, ScalarField, distance_field
+from mollikit.grid import Domain, ScalarField, distance_field, gradient_central
 from mollikit.kernels import make_kernel
 from grid_helpers import second_differences
 from modulus_oracle import discrete_modulus, modulus_at
 from test_acceptance import _disk_alpha
+from test_sampling import _domain, _theta
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,49 @@ def test_whitney_interior_zero_set(line):
     d = distance_field(Domain(line.kind, line.bbox, line.shape, line.inside_mask,
                               theta & line.inside_mask), "theta")
     assert (prof.values[off] < d.values[off]).all()
+
+
+def _whitney_reference(dom: Domain, theta: np.ndarray, eps: float, exact_sigma: bool):
+    """``build_whitney_eta`` over the reference loops: pass 1 samples
+    ``dom.sigma_at`` (``exact_sigma``) or the tuple-gather interpolant of
+    node dist(., Theta), pass 2 the interpolant of pass 1's node output."""
+    inside = dom.inside_mask
+    interior = theta & inside
+    d = np.where(interior, 0.0, distance_field(dom.with_delta(interior), "theta").values)
+    kernel = make_kernel("bump", dom.dim, {1: 64, 2: 24, 3: 8}[dom.dim])
+    pts, step = dom.node_coords(), np.maximum(eps * d[inside] / 2.0, 0.0)
+    src = d
+    for pass_ in (1, 2):
+        grid = src
+        sample = (dom.sigma_at if pass_ == 1 and exact_sigma
+                  else lambda p: oracle.interpolate(dom, grid, p))
+        src = src.copy()
+        src[inside] = oracle.variable_step_average(pts, step, kernel, sample, grid[inside],
+                                                   dom.h)[0]
+    raw = np.maximum(np.minimum(src, d * CLAMP), 0.0)
+    raw[theta] = 0.0
+    g = gradient_central(ScalarField(dom, raw)).magnitude().values[inside].max()
+    return raw * (eps / max(g * (1.0 + 1e-12), 1.0)), (step >= dom.h).sum()
+
+
+@pytest.mark.parametrize("kind,dim,interior", [
+    ("box", 1, False), ("box", 2, False), ("box", 3, False),
+    ("ball", 1, False), ("ball", 2, False), ("ball", 3, False),
+    ("mask", 2, False), ("mask", 3, False), ("box", 2, True), ("ball", 3, True),
+])
+def test_whitney_first_pass_samples_the_exact_boundary_distance(kind, dim, interior):
+    # anisotropic, non-dyadic bboxes; Theta the boundary (box, ball: pass 1
+    # on sigma_at) or with interior nodes (and on a mask: two interpolants);
+    # 3D on a finer grid than the sampling tests', so that steps reach h
+    dom = _domain(kind, dim, shape=(33, 25, 29) if dim == 3 else None)
+    theta = _theta(dom) if interior else ~dom.inside_mask
+    exact = kind != "mask" and not interior
+    got = build_whitney_eta(dom, theta, 0.5).values
+    want, smoothed = _whitney_reference(dom, theta, 0.5, exact)
+    assert smoothed > 0
+    assert got.tobytes() == want.tobytes()
+    if exact:  # the interpolant of node sigma would give other bits
+        assert want.tobytes() != _whitney_reference(dom, theta, 0.5, False)[0].tobytes()
 
 
 def test_whitney_validation(line):

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from mollikit.grid import (Domain, ScalarField, boundary_shell, distance_field,
-                           domain_from_json, gradient_central, read_field_csv,
-                           write_field_csv)
+from mollikit.grid import (Domain, ScalarField, distance_field, domain_from_json,
+                           gradient_central, read_field_csv, write_field_csv)
 
 from distance_oracle import closed_form_distance, mask_sigma, nearest_distance, node_sigma
 from distance_oracle import sigma_at as oracle_sigma_at
+from grid_helpers import boundary_shell
 
 
 def test_box_sigma_1d_node_values():
@@ -255,15 +255,22 @@ def test_domain_validation():
 
 
 def test_csv_roundtrip_bitwise(tmp_path):
+    # the file holds the bytes of a writer that writes one line per value
     dom = Domain.box([(0.0, 1.0), (-1.0, 2.0)], (9, 7))
     rng = np.random.default_rng(5)
-    f = ScalarField(dom, rng.standard_normal(dom.shape))
+    values = rng.standard_normal(dom.shape)
+    values.flat[:12] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 1e16, 0.1, 3.0, -2.0, 1e22, 2.0 ** 53]
+    f = ScalarField(dom, values)
     path = tmp_path / "field.csv"
     write_field_csv(f, path)
+    lines = ["# dim=2 shape=9,7 bbox=0.0,1.0,-1.0,2.0\n"]
+    lines += [f"{float(v)!r}\n" for v in values.reshape(-1)]
+    assert path.read_bytes() == "".join(lines).encode()
     g = read_field_csv(path)
     assert g.domain.shape == dom.shape
     assert g.domain.bbox == dom.bbox
-    assert np.array_equal(g.values, f.values)
+    assert g.values.tobytes() == f.values.tobytes()
 
 
 def test_domain_from_json(tmp_path):

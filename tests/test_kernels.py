@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from grid_helpers import support_radius
-from mollikit.kernels import (kernel_moment, make_kernel, profile_value,
-                              unit_ball_volume)
+from grid_helpers import kernel_moment, support_radius
+from mollikit.kernels import make_kernel, profile_value, unit_ball_volume
 
 # Richardson-extrapolated midpoint oracle for the 1D bump mass,
 # frozen from int_{-1}^{1} exp(-1/(1-x^2)) dx (agrees with adaptive
