@@ -31,7 +31,7 @@ print("  -> L1 error decays while TV stays bounded\n")
 
 print("modified family (plateau kernels, index-n quadratic steps):")
 for n in (2, 4, 8, 16):
-    cfg = modified_config(dom, n, quad, order=64)
+    cfg = modified_config(n, quad, order=64)
     tv = norm(mollify(jump, cfg), "TV")
     print(f"  n = {n:2d}:  TV(modified T_n f) = {tv:.6f}")
 print("  -> TV converges to the input's: strict convergence behaviour")

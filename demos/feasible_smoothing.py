@@ -13,9 +13,9 @@ Run:  python demos/feasible_smoothing.py
 
 import numpy as np
 
-from mollikit import (ConstraintSpec, Domain, ScalarField, build_whitney_eta,
-                      calibrated_eta, convergence_factor, density_study,
-                      estimate_modulus, feasible_smooth, make_kernel, membership)
+from mollikit import (ConstraintSpec, Domain, ScalarField, calibrated_eta,
+                      convergence_factor, density_study, feasible_smooth, make_kernel,
+                      membership)
 
 dom = Domain.box([(0.0, 1.0)], 513)
 x = dom.axis_coords(0)
@@ -23,10 +23,9 @@ alpha = ScalarField(dom, np.minimum(x, 1.0 - x))  # vanishes at both endpoints
 spec = ConstraintSpec(alpha, "value")
 kernel = make_kernel("bump", 1, 64)
 
-# the step profile is calibrated to alpha through its modulus of
+# the step profile is calibrated to alpha through its exact modulus of
 # continuity, so the ball-sup ratio of alpha tends to one uniformly
-base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-eta = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
+eta = calibrated_eta(alpha)
 
 f = ScalarField(dom, 0.9 * alpha.values)
 ok, _, margin = membership(f, spec)

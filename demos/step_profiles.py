@@ -12,7 +12,7 @@ Run:  python demos/step_profiles.py
 import numpy as np
 
 from mollikit import (Domain, ScalarField, build_whitney_eta, calibrated_eta,
-                      estimate_modulus, quadratic_eta, regularized_distance)
+                      quadratic_eta, regularized_distance)
 
 dom = Domain.box([(0.0, 1.0)], 513)
 x = dom.axis_coords(0)
@@ -36,12 +36,10 @@ quad = quadratic_eta(dom, 0.1)
 print(f"quadratic decay: kappa = {quad.kappa:.6f}, "
       f"kappa sigma^2 <= eta <= sigma^2 at every node")
 
-# 4. calibrated to a vanishing bound via its modulus of continuity
+# 4. calibrated to a vanishing bound via its exact modulus of continuity,
+#    under a Whitney base that vanishes on the bound's zero set
 alpha = ScalarField(dom, np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125))
-theta = (alpha.values == 0.0) | ~dom.inside_mask
-base = build_whitney_eta(dom, theta, epsilon=0.25)
-modulus = estimate_modulus(alpha, base.values.max())
-cal = calibrated_eta(dom, alpha, modulus, base)
+cal = calibrated_eta(alpha, epsilon=0.25)
 print("calibrated: vanishes on the bound's zero set "
       f"({int((cal.values == 0).sum())} zero nodes), omega(eta) <= alpha everywhere")
 

@@ -20,9 +20,8 @@ field alone; for box and ball distances (``SigmaSample``),
 ``interpolate`` and ``sigma_at``.
 Each coordinate is the product and difference of ``points[i] - step[i] *
 nodes[k]``, so every sample is bitwise what ``interpolate`` or ``sigma_at``
-returns there.  A plain callable (and ``SigmaSample`` on a mask domain) has
-the coordinate as its axis half and is called once per tile on the stacked
-coordinates of the tile's nodes.
+returns there.  A plain callable has the coordinate as its axis half and
+is called once per tile on the stacked coordinates of the tile's nodes.
 
 A tile holds ``max(1, _BLOCK // M)`` consecutive kernel nodes of a block of
 M points (``_tile``), so the combine half runs on (tile, M) entries and
@@ -93,10 +92,14 @@ class GridSample:
 
 @dataclass(frozen=True, eq=False)
 class SigmaSample:
-    """``Domain.sigma_at`` as a sample function; a sweep takes box and ball
-    distances through their halves instead."""
+    """``Domain.sigma_at`` of a box or ball domain (a mask domain raises) as
+    a sample function; a sweep takes it through its halves instead."""
 
     domain: Domain
+
+    def __post_init__(self):
+        if self.domain.kind == "mask":
+            raise ValueError("SigmaSample needs a box or ball domain, got a mask domain")
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         return self.domain.sigma_at(p)
@@ -119,7 +122,7 @@ def _halves(sample_fns: Sequence[Callable]) -> tuple[Callable, Callable]:
         return (dom._axis_cells,
                 lambda cells: dom._blend(tables, reduce(np.add, [c[0] for c in cells]),
                                          [c[1] for c in cells]))
-    if len(sample_fns) == 1 and isinstance(first, SigmaSample) and dom.kind != "mask":
+    if len(sample_fns) == 1 and isinstance(first, SigmaSample):
         return (lambda axis, c: (dom._sigma_axis(axis, c), None),
                 lambda terms: dom._sigma_combine([t[0] for t in terms])[None])
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, feasible
 from .eta import (CertificationError, EtaProfile, _max_gradient, build_whitney_eta,
-                  calibrated_eta, estimate_modulus, quadratic_eta, regularized_distance)
+                  calibrated_eta, quadratic_eta, regularized_distance)
 from .grid import (Domain, ScalarField, _check_keys, _json_spec, _spec_value,
                    domain_from_json, gradient_central, read_field_csv, write_field_csv)
 from .kernels import kernel_from_json, make_kernel
@@ -179,7 +179,10 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
     builder = cfg.get("builder", "quadratic")
     eps = _spec_value(cfg, "epsilon", float, 0.25)
     if builder == "whitney":
-        return build_whitney_eta(domain, None, eps)
+        return build_whitney_eta(domain, domain.theta_mask, eps)
+    if domain.theta_mask[domain.inside_mask].any():
+        raise ValueError(f"the domain's 'delta' set is read only by the whitney builder, "
+                         f"not by {builder!r}")
     if builder == "regdist":
         return regularized_distance(domain, eps, kernel)
     if builder == "quadratic":
@@ -187,9 +190,7 @@ def _eta_from_spec(spec: str, domain: Domain, kernel, alpha=None) -> EtaProfile:
     if builder == "calibrated":
         if alpha is None:
             raise ValueError("calibrated builder needs a bound field")
-        theta = (alpha.values == 0.0) | ~domain.inside_mask
-        base = build_whitney_eta(domain, theta, min(eps, 0.5))
-        return calibrated_eta(domain, alpha, estimate_modulus(alpha, base.values.max()), base)
+        return calibrated_eta(alpha, min(eps, 0.5))
     raise ValueError(f"unknown eta builder {builder!r}")
 
 
@@ -241,7 +242,7 @@ def cmd_mollify(args) -> int:
         quad = _eta_from_spec(args.eta, dom, kernel)
         if quad.decay != "quadratic":
             raise ValueError("modified variant needs a quadratic eta spec")
-        cfg = modified_config(dom, n, quad, kernel.order)
+        cfg = modified_config(n, quad, kernel.order)
     else:
         prof = _eta_from_spec(args.eta, dom, kernel)
         cfg = MollifierConfig(kernel, prof, n=n)
@@ -292,7 +293,7 @@ def cmd_study(args) -> int:
                          "error norm, and without --bv no TV bound is checked")
     if args.bv == "strict":
         quad = _eta_from_spec(args.eta, dom, kernel)
-        cfg_for_n = lambda n: modified_config(dom, n, quad, kernel.order)
+        cfg_for_n = lambda n: modified_config(n, quad, kernel.order)
     else:
         prof = _eta_from_spec(args.eta, dom, kernel)
         cfg_for_n = lambda n: MollifierConfig(kernel, prof, n=n)
@@ -410,8 +411,7 @@ def cmd_selftest(args) -> int:
     x = dom.axis_coords(0)
     alpha = ScalarField(dom, np.minimum(x, 1.0 - x))
     spec = feasible.ConstraintSpec(alpha, "value")
-    base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
+    cal = calibrated_eta(alpha)
     f09 = ScalarField(dom, 0.9 * alpha.values)
     betas = []
     for n in (1, 4, 16):

@@ -23,7 +23,7 @@ Certificates are asserted on every node; a failed certificate raises.  The
 modulus of continuity is ``estimate_modulus(alpha, reach)``, exact on the
 grid over ``[0, reach]``: never below the largest node-pair difference at
 any distance up to ``reach``.  ``calibrated_eta`` reads it up to the largest
-step of its base profile, and refuses a modulus whose knots end before that.
+step of its Whitney base, which it builds on the bound's zero set.
 """
 
 from __future__ import annotations
@@ -359,24 +359,20 @@ def estimate_modulus(alpha: ScalarField, reach: float) -> ModulusOfContinuity:
     return ModulusOfContinuity(knots, values)
 
 
-def calibrated_eta(domain: Domain, alpha: ScalarField,
-                   modulus: ModulusOfContinuity, base: EtaProfile) -> EtaProfile:
+def calibrated_eta(alpha: ScalarField, epsilon: float = 0.25) -> EtaProfile:
     """Step profile small enough that omega(eta) <= alpha * eta0 pointwise.
 
-    ``base`` must be a profile vanishing on Theta = boundary + alpha's exact
-    zero set; ``eta0`` is that profile rescaled to at most 1.  The result is
-    also dominated by ``base`` and vanishes exactly on Theta.
+    The base is ``build_whitney_eta`` with slope ``epsilon`` on Theta =
+    boundary + alpha's exact zero set, and omega is alpha's exact modulus up
+    to the base's largest step; ``eta0`` is the base rescaled to at most 1.
+    The result is also dominated by the base and vanishes exactly on Theta.
     """
-    zeros = (alpha.values == 0.0) & domain.inside_mask
-    if (zeros & ~base.theta_mask).any():
-        raise ValueError("base profile must vanish on the zero set of alpha")
+    domain = alpha.domain
     if (alpha.values[domain.inside_mask] < 0.0).any():
         raise ValueError("bound field must be nonnegative")
-
+    base = build_whitney_eta(domain, ~domain.inside_mask | (alpha.values == 0.0), epsilon)
     top = float(base.values.max())
-    if modulus.knots[-1] < top:
-        raise ValueError(f"modulus knots end at {modulus.knots[-1]}, below the largest base "
-                         f"step {top}: beyond its last knot omega is no bound")
+    modulus = estimate_modulus(alpha, top)
     eta0 = base.values / max(1.0, top)
     target = alpha.values * eta0
     values = np.minimum(base.values, modulus.inverse(target) * CLAMP)
@@ -390,6 +386,6 @@ def calibrated_eta(domain: Domain, alpha: ScalarField,
             f"calibration failed: omega(eta) exceeds alpha*eta0 by {check[k]}")
 
     profile = EtaProfile(ScalarField(domain, values), _max_gradient(domain, values),
-                         "calibrated", None, base.theta_mask.copy())
+                         "calibrated", None, base.theta_mask)
     profile.check_invariants()
     return profile

@@ -294,10 +294,10 @@ def psi_field(f: ScalarField, eta1: EtaProfile, eta0: EtaProfile,
     return VectorField.from_arrays(dom, out)
 
 
-def modified_config(domain: Domain, n: int, quad_eta: EtaProfile,
-                    order: int = 64) -> MollifierConfig:
-    """Modified operator: plateau kernel of index n with the index-n
-    quadratic step, the family whose L1 operator norms tend to one."""
+def modified_config(n: int, quad_eta: EtaProfile, order: int = 64) -> MollifierConfig:
+    """Modified operator on ``quad_eta``'s domain: index-n plateau kernel and
+    index-n quadratic step, the family whose L1 operator norms tend to one."""
+    domain = quad_eta.domain
     kernel = make_kernel("plateau", domain.dim, order, n=n)
     eta_n = bv_step_eta(domain, n, quad_eta)
     return MollifierConfig(kernel, eta_n, n=n, variant="modified")

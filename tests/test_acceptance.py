@@ -16,8 +16,8 @@ import pytest
 from mollikit.analysis import (convergence_study, counterexample_run,
                                l1_operator_norm_report, norm, norm_by_token,
                                weak_l1_check)
-from mollikit.eta import (build_whitney_eta, calibrated_eta, estimate_modulus,
-                          quadratic_eta, regularized_distance)
+from mollikit.eta import (build_whitney_eta, calibrated_eta, quadratic_eta,
+                          regularized_distance)
 from mollikit.feasible import (ConstraintSpec, convergence_factor, density_study,
                                feasible_smooth, membership)
 from mollikit.grid import Domain, ScalarField, gradient_central
@@ -278,7 +278,7 @@ def test_criterion_8_bv(line1025, k1):
     quad = quadratic_eta(line1025, 0.1, k1)
     x = line1025.axis_coords(0)
     f = ScalarField(line1025, (x > 0.5).astype(float))
-    tv16 = norm(mollify(f, modified_config(line1025, 16, quad, 64)), "TV")
+    tv16 = norm(mollify(f, modified_config(16, quad, 64)), "TV")
     strict_ok = abs(tv16 - 1.0) <= 0.1
 
     rep = convergence_study(f, lambda n: MollifierConfig(k1, quad, n=n),
@@ -340,8 +340,7 @@ def _disk_alpha(dom, center=(0.5, 0.5), radius=0.15):
 
 def _feasibility_case(dom, kernel, alpha):
     spec = ConstraintSpec(alpha, "value")
-    base = build_whitney_eta(dom, spec.theta_mask, 0.25)
-    cal = calibrated_eta(dom, alpha, estimate_modulus(alpha, base.values.max()), base)
+    cal = calibrated_eta(alpha)
     lip = float(gradient_central(alpha).magnitude().values[dom.inside_mask].max())
     slack = 1e-8 + 3 * dom.h * lip
     n_list = [1, 2, 4, 8, 16]

@@ -404,7 +404,7 @@ def test_convergence_sin_strictly_decreasing(line, kernel1d, quad_prof):
 def test_convergence_bv_strict(line, kernel1d, quad_prof):
     x = line.axis_coords(0)
     f = ScalarField(line, (x > 0.5).astype(float))
-    rep = convergence_study(f, lambda n: modified_config(line, n, quad_prof, 48),
+    rep = convergence_study(f, lambda n: modified_config(n, quad_prof, 48),
                             [2, 4, 8, 16], ["L1"], "step", bv_mode="strict")
     assert rep.passed(), rep.failures()
     assert abs(rep.errors["TV_of_Tf"][-1] - 1.0) <= 0.1

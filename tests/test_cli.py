@@ -185,6 +185,34 @@ def test_eta_alpha_needs_calibrated_builder(workdir, capsys):
     assert not out.exists()
 
 
+def test_whitney_reads_the_domain_delta_set(tmp_path, monkeypatch, capsys):
+    # the delta field's zeros, a disk of radius 0.1, join Theta for whitney;
+    # the builders that vanish on the boundary only (calibrated: and on the
+    # bound's zeros) refuse a non-empty delta set
+    monkeypatch.chdir(tmp_path)
+    dom = Domain.box([(0.0, 1.0)] * 2, 65)
+    grids = dom.node_grids()
+    disk = np.hypot(grids[0] - 0.5, grids[1] - 0.5) <= 0.1
+    write_field_csv(ScalarField(dom, (~disk).astype(float)), "delta.csv")
+    write_field_csv(dom.sigma(), "alpha.csv")
+    plain = {"kind": "box", "bbox": [[0.0, 1.0], [0.0, 1.0]], "resolution": [65, 65]}
+    spec = json.dumps({**plain, "delta": "delta.csv"})
+    kernel = '{"profile": "bump", "order": 12}'
+    for domain, out in ((spec, "delta_eta.csv"), (json.dumps(plain), "plain_eta.csv")):
+        assert cli.main(["eta", "--builder", "whitney", "--domain", domain,
+                         "--kernel", kernel, "--out", out, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    with_delta = read_field_csv("delta_eta.csv").values
+    assert disk.sum() > 1 and (with_delta[disk] == 0.0).all()
+    assert not np.array_equal(with_delta, read_field_csv("plain_eta.csv").values)
+    for builder, alpha in (("quadratic", []), ("regdist", []),
+                           ("calibrated", ["--alpha", "alpha.csv"])):
+        assert cli.main(["eta", "--builder", builder, *alpha, "--domain", spec,
+                         "--kernel", kernel, "--out", "refused.csv"]) == 2
+        assert "'delta'" in json.loads(capsys.readouterr().err)["config_error"]
+        assert not (tmp_path / "refused.csv").exists()
+
+
 def test_feasible_subcommand(workdir):
     out = workdir / "feas.json"
     itdir = workdir / "iterates"

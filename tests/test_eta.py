@@ -321,11 +321,14 @@ def test_modulus_matches_all_pairs_oracle(name):
 
 @pytest.fixture(scope="module")
 def calibrated(line):
+    # alpha vanishes on the boundary alone, so the base and modulus that
+    # calibrated_eta derives are Whitney on the boundary and the exact
+    # modulus up to that base's largest step
     x = line.axis_coords(0)
     alpha = ScalarField(line, np.minimum(x, 1.0 - x))
     base = build_whitney_eta(line, epsilon=0.25)
     mod = estimate_modulus(alpha, base.values.max())
-    return alpha, mod, base, calibrated_eta(line, alpha, mod, base)
+    return alpha, mod, base, calibrated_eta(alpha, epsilon=0.25)
 
 
 def test_calibrated_certificate(line, calibrated):
@@ -339,26 +342,23 @@ def test_calibrated_certificate(line, calibrated):
 
 
 def test_calibrated_identity_modulus(line):
-    x = line.axis_coords(0)
+    # the exact modulus of sigma on a line is the identity (plus the floor)
+    # at every node-pair distance, the knots before the reach, so
+    # omega(eta) <= sigma * eta0 keeps eta below sigma * eta0 and sigma
     sigma = line.sigma()
     base = build_whitney_eta(line, epsilon=0.25)
-    ident = ModulusOfContinuity([0.0, 2.0], [0.0, 2.0])
-    prof = calibrated_eta(line, sigma, ident, base)
+    mod = estimate_modulus(sigma, base.values.max())
+    assert (mod.values[:-1] >= mod.knots[:-1]).all()
+    prof = calibrated_eta(sigma)
     inside = line.inside_mask
     eta0 = base.values / max(1.0, base.values.max())
     assert (prof.values[inside] <= (sigma.values * eta0)[inside] + 1e-15).all()
     assert (prof.values[inside] <= sigma.values[inside]).all()
 
 
-def test_calibrated_refuses_modulus_short_of_base(line):
-    # beyond its last knot omega is an extrapolation, not a bound
+def test_modulus_refuses_a_negative_or_unbounded_reach(line):
     x = line.axis_coords(0)
     alpha = ScalarField(line, np.minimum(x, 1.0 - x))
-    base = build_whitney_eta(line, epsilon=0.25)
-    top = base.values.max()
-    with pytest.raises(ValueError, match="knots end"):
-        calibrated_eta(line, alpha, estimate_modulus(alpha, 0.5 * top), base)
-    calibrated_eta(line, alpha, estimate_modulus(alpha, top), base)
     for reach in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="reach"):
             estimate_modulus(alpha, reach)
@@ -366,10 +366,15 @@ def test_calibrated_refuses_modulus_short_of_base(line):
 
 def test_calibrated_zero_bound_gives_zero_step(line):
     # Theta is every node, so the reach is 0 and so is the step
-    alpha = ScalarField.constant(line, 0.0)
-    base = build_whitney_eta(line, np.ones(line.shape, dtype=bool), epsilon=0.25)
-    prof = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
+    prof = calibrated_eta(ScalarField.constant(line, 0.0))
+    assert prof.theta_mask.all()
     assert (prof.values == 0.0).all()
+
+
+def test_calibrated_refuses_a_negative_bound(line):
+    alpha = ScalarField(line, line.axis_coords(0) - 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        calibrated_eta(alpha)
 
 
 def test_one_knot_modulus_is_defined_only_at_its_knot(line):
@@ -382,14 +387,14 @@ def test_one_knot_modulus_is_defined_only_at_its_knot(line):
 
 
 def test_calibrated_vanishes_with_alpha(line):
+    # Theta is the boundary and alpha's interior zeros, no more and no less
     x = line.axis_coords(0)
     vals = np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125)
-    alpha = ScalarField(line, vals)
+    prof = calibrated_eta(ScalarField(line, vals))
     theta = (vals == 0.0) | ~line.inside_mask
-    base = build_whitney_eta(line, theta, epsilon=0.25)
-    mod = estimate_modulus(alpha, base.values.max())
-    prof = calibrated_eta(line, alpha, mod, base)
+    assert np.array_equal(prof.theta_mask, theta)
     assert (prof.values[vals == 0.0] == 0.0).all()
+    assert (prof.values[~theta] > 0.0).all()
 
 
 def test_calibrated_dini_ratios(line, calibrated):
@@ -406,12 +411,3 @@ def test_calibrated_dini_ratios(line, calibrated):
     for n in (1, 2, 4, 8, 16, 32):
         assert sups[2 * n] <= sups[n] + 1e-15
     assert sups[64] <= 0.25 * sups[1]
-
-
-def test_calibrated_requires_matching_base(line):
-    x = line.axis_coords(0)
-    alpha = ScalarField(line, np.minimum(x, 1.0 - x) * (np.abs(x - 0.5) >= 0.125))
-    base = build_whitney_eta(line, epsilon=0.25)  # vanishes on the boundary only
-    mod = estimate_modulus(alpha, base.values.max())
-    with pytest.raises(ValueError, match="zero set"):
-        calibrated_eta(line, alpha, mod, base)

@@ -3,7 +3,7 @@ import pytest
 
 from mollikit import _sampling
 from mollikit._sampling import GridSample, smoothed, variable_step_max
-from mollikit.eta import build_whitney_eta, calibrated_eta, estimate_modulus
+from mollikit.eta import build_whitney_eta, calibrated_eta
 from mollikit.feasible import (ConstraintSpec, convergence_factor, density_study,
                                feasible_smooth, membership)
 from mollikit.grid import Domain, ScalarField
@@ -29,10 +29,7 @@ def wedge(line):
 
 @pytest.fixture(scope="module")
 def wedge_setup(line, wedge):
-    spec = ConstraintSpec(wedge, "value")
-    base = build_whitney_eta(line, spec.theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
-    return spec, cal
+    return ConstraintSpec(wedge, "value"), calibrated_eta(wedge)
 
 
 # ---------------------------------------------------------------------- #
@@ -89,8 +86,7 @@ def test_factor_is_one_on_zero_set(line, kernel1d, wedge_setup, wedge):
     vals = wedge.values * (np.abs(x - 0.5) >= 0.25)
     alpha = ScalarField(line, vals)
     spec2 = ConstraintSpec(alpha, "value")
-    base = build_whitney_eta(line, spec2.theta_mask, 0.25)
-    cal2 = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
+    cal2 = calibrated_eta(alpha)
     m, _ = convergence_factor(spec2, cal2, 4, kernel1d)
     assert (m.values[spec2.delta_mask] == 1.0).all()
     assert (m.values >= 1.0).all()
@@ -126,9 +122,7 @@ def _wedge_case():
     line = Domain.box([(0.0, 1.0)], 1025)
     x = line.axis_coords(0)
     spec = ConstraintSpec(ScalarField(line, np.minimum(x, 1.0 - x)), "value")
-    base = build_whitney_eta(line, spec.theta_mask, 0.25)
-    return spec, calibrated_eta(line, spec.alpha, estimate_modulus(spec.alpha, base.values.max()),
-                                base), make_kernel("bump", 1, 32)
+    return spec, calibrated_eta(spec.alpha), make_kernel("bump", 1, 32)
 
 
 def _box2d_case():
@@ -233,8 +227,7 @@ def test_feasible_smooth_rejects_infeasible(line, kernel1d, wedge_setup, wedge):
 
 def test_feasible_smooth_gradient_mode(line, kernel1d, wedge):
     spec = ConstraintSpec(wedge, "gradient")
-    base = build_whitney_eta(line, ConstraintSpec(wedge, "value").theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
+    cal = calibrated_eta(wedge)
     x = line.axis_coords(0)
     prim = np.where(x <= 0.5, x * x / 2, 0.25 - (1 - x) ** 2 / 2)
     g, info = feasible_smooth(ScalarField(line, 0.9 * prim), spec, cal, kernel1d, 8)
@@ -258,8 +251,7 @@ def test_iterates_vanish_on_interior_zero_set(line, kernel1d):
     vals = np.minimum(x, 1.0 - x) * np.maximum(np.abs(x - 0.5) - 0.125, 0.0)
     alpha = ScalarField(line, vals)
     spec = ConstraintSpec(alpha, "value")
-    base = build_whitney_eta(line, spec.theta_mask, 0.25)
-    cal = calibrated_eta(line, alpha, estimate_modulus(alpha, base.values.max()), base)
+    cal = calibrated_eta(alpha)
     f = ScalarField(line, 0.9 * vals)
     g, _ = feasible_smooth(f, spec, cal, kernel1d, 4)
     assert (g.values[spec.delta_mask] == 0.0).all()
@@ -288,8 +280,7 @@ def test_density_study_truncated(line, kernel1d, wedge_setup, wedge):
 
 def test_density_study_gradient(line, kernel1d, wedge):
     spec = ConstraintSpec(wedge, "gradient")
-    base = build_whitney_eta(line, ConstraintSpec(wedge, "value").theta_mask, 0.25)
-    cal = calibrated_eta(line, wedge, estimate_modulus(wedge, base.values.max()), base)
+    cal = calibrated_eta(wedge)
     x = line.axis_coords(0)
     prim = np.where(x <= 0.5, x * x / 2, 0.25 - (1 - x) ** 2 / 2)
     rep = density_study(ScalarField(line, 0.9 * prim), spec, cal, kernel1d,

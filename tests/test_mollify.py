@@ -349,7 +349,7 @@ def test_gradient_pointwise_bounds(line, kernel1d, square_cfg):
 
 
 def test_gradient_requires_standard_variant(line):
-    cfg = modified_config(line, 4, quadratic_eta(line, 0.1), order=32)
+    cfg = modified_config(4, quadratic_eta(line, 0.1), order=32)
     f = ScalarField.from_function(line, lambda x: x)
     with pytest.raises(ValueError, match="standard"):
         mollify_gradient(f, gradient_central(f), cfg)
@@ -445,7 +445,7 @@ def test_composite_profile_validation(composite_setup):
 
 def test_modified_config_properties(line):
     quad_prof = quadratic_eta(line, 0.1)
-    cfg = modified_config(line, 8, quad_prof, order=48)
+    cfg = modified_config(8, quad_prof, order=48)
     assert cfg.variant == "modified"
     assert cfg.kernel.profile == "plateau" and cfg.kernel.n == 8
     sigma = line.sigma().values[line.inside_mask]
@@ -458,6 +458,6 @@ def test_modified_tv_close_to_input(line):
     quad_prof = quadratic_eta(line, 0.1)
     x = line.axis_coords(0)
     f = ScalarField(line, (x > 0.5).astype(float))
-    cfg = modified_config(line, 16, quad_prof, order=48)
+    cfg = modified_config(16, quad_prof, order=48)
     tf = mollify(f, cfg)
     assert abs(norm(tf, "TV") - 1.0) <= 0.1

@@ -463,3 +463,10 @@ def test_sigma_samples_bitwise_equal_to_sigma_at(kind, dim, monkeypatch):
     got = _sweep(x, s, np.arange(len(x)), nodes, coeffs, [SigmaSample(dom)])
     for a, b in zip(got[:3], (total, lo, hi)):
         assert a[0].tobytes() == b.tobytes()
+
+
+def test_sigma_sample_refuses_a_mask_domain():
+    # the builders sample node sigma of a mask domain as a GridSample
+    with pytest.raises(ValueError, match="mask domain"):
+        SigmaSample(_domain("mask", 2))
+    SigmaSample(_domain("ball", 2))
